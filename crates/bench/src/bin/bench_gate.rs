@@ -6,9 +6,11 @@
 //! ```
 //!
 //! Parses both `BENCH_epoch.json` documents, matches rows **by key** —
-//! `(partitions, threads, commit mode, workload)` — skipping unmatched
-//! rows on either side with a warning (so adding or retiring bench rows
-//! never fails the gate). The speculation hit rate of matched rows is
+//! `(partitions, threads, workload)` — skipping unmatched rows on either
+//! side with a warning (so adding or retiring bench rows never fails the
+//! gate). Rows of older documents that measured the removed
+//! `"commit": "sequential"` traffic commit are dropped by the parser and
+//! never match. The speculation hit rate of matched rows is
 //! **informational**: a collapse warns, never fails. The gate exits
 //! non-zero when a matched row fell below either floor:
 //!

@@ -23,8 +23,7 @@ pub enum Workload {
     Churn,
     /// Correlated outage: every server of one country fails in the same
     /// epoch, so the availability-repair pass absorbs a concentrated
-    /// backlog under its per-epoch cap — the workload the speculative
-    /// repair prepass is measured on.
+    /// backlog under its per-epoch cap.
     Outage,
 }
 
@@ -57,18 +56,10 @@ pub struct PipelineTiming {
     pub spec_hits: u64,
     /// Speculations discarded and re-walked over the run.
     pub spec_misses: u64,
-    /// Conflict-free batches the decision commit flushed over the run
-    /// (thread-invariant; zero under `--sequential-decisions`).
-    pub decision_batches: u64,
-    /// Widest batch any epoch flushed.
-    pub max_batch_width: u64,
-    /// Actions that fell back to in-place application on a server
-    /// conflict with their open batch.
-    pub batch_conflicts: u64,
 }
 
-/// Head-to-head result for one partition count at one worker-thread count,
-/// one traffic-commit mode and one workload shape.
+/// Head-to-head result for one partition count at one worker-thread count
+/// and one workload shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochLoopResult {
     /// Partitions per application (the paper's M).
@@ -81,11 +72,6 @@ pub struct EpochLoopResult {
     /// trajectory is bitwise identical at every value; only wall clock
     /// moves, so rows at different thread counts chart the scaling curve.
     pub threads: usize,
-    /// True when the run routed the traffic commit through the sequential
-    /// oracle loop instead of the default reconciled parallel commit. The
-    /// trajectory is bitwise identical either way; the row pair charts
-    /// the commit-mode cost.
-    pub sequential_commit: bool,
     /// The workload shape layered on the cold start.
     pub workload: Workload,
     /// The rent-indexed pipeline (the default).
@@ -124,7 +110,6 @@ pub fn time_pipeline(
     epochs: u64,
     brute_force: bool,
     threads: usize,
-    sequential_commit: bool,
     workload: Workload,
 ) -> PipelineTiming {
     let mut best: Option<PipelineTiming> = None;
@@ -138,7 +123,6 @@ pub fn time_pipeline(
         scenario.seed = 0xBE_7C;
         scenario.config.brute_force_placement = brute_force;
         scenario.config.threads = threads;
-        scenario.config.sequential_traffic_commit = sequential_commit;
         match workload {
             Workload::Steady => {}
             Workload::Churn => {
@@ -167,18 +151,12 @@ pub fn time_pipeline(
         let mut decisions = 0u64;
         let mut spec_hits = 0u64;
         let mut spec_misses = 0u64;
-        let mut decision_batches = 0u64;
-        let mut max_batch_width = 0u64;
-        let mut batch_conflicts = 0u64;
         let start = Instant::now();
         for _ in 0..epochs {
             let obs = sim.step();
             decisions += obs.report.total_vnodes() as u64;
             spec_hits += obs.report.actions.spec_hits;
             spec_misses += obs.report.actions.spec_misses;
-            decision_batches += obs.report.actions.decision_batches;
-            max_batch_width = max_batch_width.max(obs.report.actions.max_batch_width);
-            batch_conflicts += obs.report.actions.batch_conflicts;
         }
         let seconds = start.elapsed().as_secs_f64();
         let timing = PipelineTiming {
@@ -188,9 +166,6 @@ pub fn time_pipeline(
             decisions,
             spec_hits,
             spec_misses,
-            decision_batches,
-            max_batch_width,
-            batch_conflicts,
         };
         if best.is_none_or(|b| timing.seconds < b.seconds) {
             best = Some(timing);
@@ -199,43 +174,27 @@ pub fn time_pipeline(
     best.expect("two passes ran")
 }
 
-/// Runs both pipelines at one partition count and thread count, in the
-/// default (parallel) traffic-commit mode on the steady cold start.
+/// Runs both pipelines at one partition count and thread count on the
+/// steady cold start.
 pub fn run_epoch_loop(partitions: usize, epochs: u64, threads: usize) -> EpochLoopResult {
-    run_epoch_loop_mode(partitions, epochs, threads, false, Workload::Steady)
+    run_epoch_loop_mode(partitions, epochs, threads, Workload::Steady)
 }
 
-/// Runs both pipelines at one partition count, thread count,
-/// traffic-commit mode and workload shape.
+/// Runs both pipelines at one partition count, thread count and workload
+/// shape.
 pub fn run_epoch_loop_mode(
     partitions: usize,
     epochs: u64,
     threads: usize,
-    sequential_commit: bool,
     workload: Workload,
 ) -> EpochLoopResult {
     EpochLoopResult {
         partitions,
         epochs,
         threads,
-        sequential_commit,
         workload,
-        indexed: time_pipeline(
-            partitions,
-            epochs,
-            false,
-            threads,
-            sequential_commit,
-            workload,
-        ),
-        brute_force: time_pipeline(
-            partitions,
-            epochs,
-            true,
-            threads,
-            sequential_commit,
-            workload,
-        ),
+        indexed: time_pipeline(partitions, epochs, false, threads, workload),
+        brute_force: time_pipeline(partitions, epochs, true, threads, workload),
     }
 }
 
@@ -243,9 +202,7 @@ pub fn run_epoch_loop_mode(
 /// worker, the M = 200 scaling curve at threads ∈ {2, 4, 8}, a
 /// **pool-overhead** row (M = 16 at 8 threads: per-chunk work so small
 /// the row is dominated by the persistent pool's dispatch handoff — on a
-/// single-core host it is pure overhead by construction), two
-/// **commit-mode** rows timing the sequential traffic-commit oracle
-/// against the default reconciled commit at M = 200, and a
+/// single-core host it is pure overhead by construction), a
 /// **convergence/churn** row (M = 200 with a failure burst and a
 /// capacity upgrade) where dozens of actions execute per epoch — the
 /// workload whose commit pass the read-set speculation turns from
@@ -264,32 +221,29 @@ pub fn run_epoch_loop_mode(
 pub fn standard_sweep() -> Vec<EpochLoopResult> {
     use Workload::{Churn, Outage, Steady};
     [
-        (16usize, 40u64, 1usize, false, Steady),
-        (50, 25, 1, false, Steady),
-        (200, 12, 1, false, Steady),
-        (200, 12, 2, false, Steady),
-        (200, 12, 4, false, Steady),
-        (200, 12, 8, false, Steady),
+        (16usize, 40u64, 1usize, Steady),
+        (50, 25, 1, Steady),
+        (200, 12, 1, Steady),
+        (200, 12, 2, Steady),
+        (200, 12, 4, Steady),
+        (200, 12, 8, Steady),
         // Pool-overhead row.
-        (16, 40, 8, false, Steady),
-        // Commit-mode rows (sequential oracle).
-        (200, 12, 1, true, Steady),
-        (200, 12, 8, true, Steady),
+        (16, 40, 8, Steady),
         // Convergence/churn row: a failure burst and a capacity upgrade
         // keep many actions executing per epoch, charting the
         // speculation hit rate of the decision commit pass.
-        (200, 18, 1, false, Churn),
+        (200, 18, 1, Churn),
         // Outage-burst row: repair throughput under a correlated
         // whole-country failure.
-        (200, 18, 1, false, Outage),
+        (200, 18, 1, Outage),
         // Memory-scale rows: M = 2000 partitions per app (the server
         // count stays the paper's 200), anchoring the scaling-slope
         // guard and the bytes-per-partition figure.
-        (2_000, 4, 1, false, Steady),
-        (2_000, 6, 1, false, Churn),
+        (2_000, 4, 1, Steady),
+        (2_000, 6, 1, Churn),
     ]
     .into_iter()
-    .map(|(m, epochs, threads, seq, w)| run_epoch_loop_mode(m, epochs, threads, seq, w))
+    .map(|(m, epochs, threads, w)| run_epoch_loop_mode(m, epochs, threads, w))
     .collect()
 }
 
@@ -332,23 +286,13 @@ pub fn to_json_full(results: &[EpochLoopResult], bytes_per_partition: Option<u64
             ),
             None => String::new(),
         };
-        // Batch stats of the decision commit (thread-invariant, identical
-        // across the indexed/brute pipelines — both replay the same
-        // trajectory). Informational: never gated, kept out of
-        // stdout/CSV.
-        let batches = format!(
-            "\"decision_batches\": {}, \"max_batch_width\": {}, \"batch_conflicts\": {}, ",
-            r.indexed.decision_batches, r.indexed.max_batch_width, r.indexed.batch_conflicts
-        );
         out.push_str(&format!(
-            "    {{\"partitions\": {}, \"epochs\": {}, \"threads\": {}, \"commit\": \"{}\", \"workload\": \"{}\", {}{}\"indexed\": {}, \"brute_force\": {}, \"speedup\": {:.2}}}{}\n",
+            "    {{\"partitions\": {}, \"epochs\": {}, \"threads\": {}, \"workload\": \"{}\", {}\"indexed\": {}, \"brute_force\": {}, \"speedup\": {:.2}}}{}\n",
             r.partitions,
             r.epochs,
             r.threads,
-            if r.sequential_commit { "sequential" } else { "parallel" },
             r.workload.label(),
             spec,
-            batches,
             timing_json(&r.indexed),
             timing_json(&r.brute_force),
             r.speedup(),
@@ -396,7 +340,7 @@ pub fn parse_bytes_per_partition(json: &str) -> Option<u64> {
 }
 
 /// One row parsed back out of a `BENCH_epoch.json` document: the key
-/// `(partitions, threads, commit mode, workload)` plus both pipelines'
+/// `(partitions, threads, workload)` plus both pipelines'
 /// epochs/sec and the informational speculation hit rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryRow {
@@ -404,10 +348,6 @@ pub struct TrajectoryRow {
     pub partitions: usize,
     /// Pipeline worker threads (1 when the document predates the field).
     pub threads: usize,
-    /// Sequential-oracle traffic commit (false when the document predates
-    /// the field — older documents measured the only commit that existed,
-    /// which the default mode reproduces bit-for-bit).
-    pub sequential_commit: bool,
     /// Workload shape ([`Workload::Steady`] when the document predates
     /// the field — older documents only measured the steady cold start).
     pub workload: Workload,
@@ -422,27 +362,17 @@ pub struct TrajectoryRow {
 
 impl TrajectoryRow {
     /// The row-matching key: rows are compared across documents only when
-    /// partitions, thread budget, commit mode and workload all agree.
-    pub fn key(&self) -> (usize, usize, bool, Workload) {
-        (
-            self.partitions,
-            self.threads,
-            self.sequential_commit,
-            self.workload,
-        )
+    /// partitions, thread budget and workload all agree.
+    pub fn key(&self) -> (usize, usize, Workload) {
+        (self.partitions, self.threads, self.workload)
     }
 
     /// Human-readable rendering of [`TrajectoryRow::key`].
     pub fn describe_key(&self) -> String {
         format!(
-            "M = {}, threads = {}, {} commit, {}",
+            "M = {}, threads = {}, {}",
             self.partitions,
             self.threads,
-            if self.sequential_commit {
-                "sequential"
-            } else {
-                "parallel"
-            },
             self.workload.label()
         )
     }
@@ -472,19 +402,21 @@ pub fn parse_host_cpus(json: &str) -> Option<usize> {
 
 /// Parses the result rows of a `BENCH_epoch.json` document (the format
 /// [`to_json`] writes: one result object per line). Documents written
-/// before the threads/commit fields default those rows to `threads = 1`
-/// and the parallel commit.
+/// before the threads field default those rows to `threads = 1`. Older
+/// documents also carry a `"commit"` field: `"parallel"` rows measured the
+/// only traffic commit that remains and parse as usual, while
+/// `"sequential"` rows measured a commit mode that no longer exists and
+/// are dropped, so they never match a fresh row.
 pub fn parse_trajectory(json: &str) -> Vec<TrajectoryRow> {
     let mut rows = Vec::new();
     for line in json.lines() {
         let Some(partitions) = num_after(line, "\"partitions\"") else {
             continue;
         };
+        if line.contains("\"commit\": \"sequential\"") {
+            continue;
+        }
         let threads = num_after(line, "\"threads\"").unwrap_or(1.0);
-        let sequential_commit = line
-            .find("\"commit\"")
-            .map(|i| line[i..].starts_with("\"commit\": \"sequential\""))
-            .unwrap_or(false);
         let workload = match line.find("\"workload\"").map(|i| &line[i..]) {
             Some(rest) if rest.starts_with("\"workload\": \"churn\"") => Workload::Churn,
             Some(rest) if rest.starts_with("\"workload\": \"outage\"") => Workload::Outage,
@@ -505,7 +437,6 @@ pub fn parse_trajectory(json: &str) -> Vec<TrajectoryRow> {
         rows.push(TrajectoryRow {
             partitions: partitions as usize,
             threads: threads as usize,
-            sequential_commit,
             workload,
             indexed_eps,
             brute_eps,
@@ -542,7 +473,7 @@ impl GateReport {
 }
 
 /// Diffs a fresh trajectory against the committed baseline. Rows are
-/// matched **by key** — `(partitions, threads, commit mode)` — and rows
+/// matched **by key** — `(partitions, threads, workload)` — and rows
 /// without a partner on the other side (a freshly added bench row, or a
 /// retired one) are *skipped with a warning* instead of failing the gate,
 /// so evolving the sweep's row set never requires lock-step baseline
@@ -565,7 +496,7 @@ impl GateReport {
 /// their floors demote to warnings, because wall clock at such budgets
 /// charts scheduler contention, not the code. A **scaling-slope** guard
 /// additionally compares the M = 200 → M = 2000 throughput decay
-/// (single worker, parallel commit, steady workload) across documents:
+/// (single worker, steady workload) across documents:
 /// a slope steepening past `ratio_tolerance` fails, catching
 /// superlinear per-partition cost creep that per-row floors — each
 /// gated against its own baseline row — would wave through.
@@ -661,7 +592,7 @@ pub fn gate_trajectory(
     let slope = |rows: &[TrajectoryRow]| -> Option<f64> {
         let eps_at = |m: usize| {
             rows.iter()
-                .find(|r| r.key() == (m, 1, false, Workload::Steady))
+                .find(|r| r.key() == (m, 1, Workload::Steady))
                 .map(|r| r.indexed_eps)
         };
         let (small, large) = (eps_at(200)?, eps_at(2_000)?);
@@ -712,11 +643,10 @@ pub fn write_json_full(
 /// Prints the human-readable comparison table for a sweep.
 pub fn print_table(results: &[EpochLoopResult]) {
     println!(
-        "{:>6} {:>7} {:>8} {:>11} {:>8} {:>14} {:>14} {:>12} {:>12} {:>8} {:>8}",
+        "{:>6} {:>7} {:>8} {:>8} {:>14} {:>14} {:>12} {:>12} {:>8} {:>8}",
         "M",
         "epochs",
         "threads",
-        "commit",
         "workload",
         "indexed ep/s",
         "brute ep/s",
@@ -727,15 +657,10 @@ pub fn print_table(results: &[EpochLoopResult]) {
     );
     for r in results {
         println!(
-            "{:>6} {:>7} {:>8} {:>11} {:>8} {:>14.2} {:>14.2} {:>12.0} {:>12.0} {:>7.2}x {:>8}",
+            "{:>6} {:>7} {:>8} {:>8} {:>14.2} {:>14.2} {:>12.0} {:>12.0} {:>7.2}x {:>8}",
             r.partitions,
             r.epochs,
             r.threads,
-            if r.sequential_commit {
-                "sequential"
-            } else {
-                "parallel"
-            },
             r.workload.label(),
             r.indexed.epochs_per_sec,
             r.brute_force.epochs_per_sec,
@@ -768,7 +693,7 @@ mod tests {
         assert!(json.contains("\"bench\": \"epoch_loop\""));
         assert!(json.contains("\"partitions\": 4"));
         assert!(json.contains("\"threads\": 1"));
-        assert!(json.contains("\"commit\": \"parallel\""));
+        assert!(!json.contains("\"commit\""));
         assert!(json.contains("\"host_cpus\""));
         assert!(json.contains("\"speedup\""));
         // Balanced braces/brackets (cheap well-formedness check without a
@@ -792,17 +717,14 @@ mod tests {
         // The scaling rows must chart wall clock only: decision counts (and
         // therefore the simulated trajectory) are identical across thread
         // counts.
-        let t1 = time_pipeline(4, 3, false, 1, false, Workload::Steady);
-        let t8 = time_pipeline(4, 3, false, 8, false, Workload::Steady);
+        let t1 = time_pipeline(4, 3, false, 1, Workload::Steady);
+        let t8 = time_pipeline(4, 3, false, 8, Workload::Steady);
         assert_eq!(t1.decisions, t8.decisions);
         assert_eq!(t1.spec_hits, t8.spec_hits);
         assert_eq!(t1.spec_misses, t8.spec_misses);
-        // Commit modes replay the same trajectory too.
-        let seq = time_pipeline(4, 3, false, 1, true, Workload::Steady);
-        assert_eq!(t1.decisions, seq.decisions);
-        // And so do repair modes under the outage workload.
-        let o1 = time_pipeline(4, 6, false, 1, false, Workload::Outage);
-        let o8 = time_pipeline(4, 6, false, 8, false, Workload::Outage);
+        // And so does the outage workload.
+        let o1 = time_pipeline(4, 6, false, 1, Workload::Outage);
+        let o8 = time_pipeline(4, 6, false, 8, Workload::Outage);
         assert_eq!(o1.decisions, o8.decisions);
         assert_eq!(o1.spec_hits, o8.spec_hits);
         assert_eq!(o1.spec_misses, o8.spec_misses);
@@ -815,7 +737,6 @@ mod tests {
                 partitions: 200,
                 epochs: 12,
                 threads: 1,
-                sequential_commit: false,
                 workload: Workload::Steady,
                 indexed: PipelineTiming {
                     seconds: 0.5,
@@ -824,9 +745,6 @@ mod tests {
                     decisions: 100,
                     spec_hits: 30,
                     spec_misses: 10,
-                    decision_batches: 12,
-                    max_batch_width: 5,
-                    batch_conflicts: 2,
                 },
                 brute_force: PipelineTiming {
                     seconds: 1.0,
@@ -835,16 +753,12 @@ mod tests {
                     decisions: 100,
                     spec_hits: 30,
                     spec_misses: 10,
-                    decision_batches: 12,
-                    max_batch_width: 5,
-                    batch_conflicts: 2,
                 },
             },
             EpochLoopResult {
                 partitions: 200,
                 epochs: 12,
                 threads: 4,
-                sequential_commit: true,
                 workload: Workload::Outage,
                 indexed: PipelineTiming {
                     seconds: 0.25,
@@ -853,9 +767,6 @@ mod tests {
                     decisions: 100,
                     spec_hits: 0,
                     spec_misses: 0,
-                    decision_batches: 0,
-                    max_batch_width: 0,
-                    batch_conflicts: 0,
                 },
                 brute_force: PipelineTiming {
                     seconds: 0.8,
@@ -864,9 +775,6 @@ mod tests {
                     decisions: 100,
                     spec_hits: 0,
                     spec_misses: 0,
-                    decision_batches: 0,
-                    max_batch_width: 0,
-                    batch_conflicts: 0,
                 },
             },
         ];
@@ -874,12 +782,10 @@ mod tests {
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].partitions, 200);
         assert_eq!(parsed[0].threads, 1);
-        assert!(!parsed[0].sequential_commit);
         assert_eq!(parsed[0].indexed_eps, 24.0);
         assert_eq!(parsed[0].workload, Workload::Steady);
         assert_eq!(parsed[0].spec_hit_rate, Some(0.75));
         assert_eq!(parsed[1].threads, 4);
-        assert!(parsed[1].sequential_commit);
         assert_eq!(parsed[1].workload, Workload::Outage);
         assert_eq!(
             parsed[1].spec_hit_rate, None,
@@ -911,11 +817,6 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].threads, 1);
         assert_eq!(rows[0].partitions, 16);
-        assert!(
-            !rows[0].sequential_commit,
-            "legacy rows measured the only commit that existed; the default \
-             mode reproduces it bit-for-bit, so they match the parallel key"
-        );
         assert_eq!(
             rows[0].workload,
             Workload::Steady,
@@ -926,12 +827,29 @@ mod tests {
     }
 
     #[test]
+    fn parser_accepts_the_commit_field_and_drops_sequential_rows() {
+        // Documents written while a second traffic-commit mode existed
+        // carry a `"commit"` field. Parallel rows measured the commit that
+        // remains; sequential rows measured the removed one and are
+        // dropped, so they never match a fresh row.
+        let old = r#"{
+  "results": [
+    {"partitions": 200, "epochs": 12, "threads": 1, "commit": "parallel", "workload": "steady", "indexed": {"seconds": 0.1, "epochs_per_sec": 120.0, "ns_per_decision": 700.0, "decisions": 100}, "brute_force": {"seconds": 0.5, "epochs_per_sec": 24.0, "ns_per_decision": 5000.0, "decisions": 100}, "speedup": 5.00},
+    {"partitions": 200, "epochs": 12, "threads": 1, "commit": "sequential", "workload": "steady", "indexed": {"seconds": 0.1, "epochs_per_sec": 110.0, "ns_per_decision": 700.0, "decisions": 100}, "brute_force": {"seconds": 0.5, "epochs_per_sec": 24.0, "ns_per_decision": 5000.0, "decisions": 100}, "speedup": 4.58}
+  ]
+}"#;
+        let rows = parse_trajectory(old);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].key(), (200, 1, Workload::Steady));
+        assert_eq!(rows[0].indexed_eps, 120.0);
+    }
+
+    #[test]
     fn gate_passes_within_tolerance_and_fails_beyond() {
         // Baseline: 100 eps indexed over 20 eps brute = 5x speedup.
         let base = [TrajectoryRow {
             partitions: 200,
             threads: 1,
-            sequential_commit: false,
             workload: Workload::Steady,
             indexed_eps: 100.0,
             brute_eps: 20.0,
@@ -981,7 +899,6 @@ mod tests {
         let base = [TrajectoryRow {
             partitions: 200,
             threads: 1,
-            sequential_commit: false,
             workload: Workload::Churn,
             indexed_eps: 100.0,
             brute_eps: 20.0,
@@ -1020,7 +937,6 @@ mod tests {
         let base_row = TrajectoryRow {
             partitions: 200,
             threads: 1,
-            sequential_commit: false,
             workload: Workload::Steady,
             indexed_eps: 100.0,
             brute_eps: 20.0,
@@ -1035,17 +951,13 @@ mod tests {
         assert_eq!(report.matched, 0);
         assert_eq!(report.warnings.len(), 1);
         assert!(report.warnings[0].contains("skipped"));
-        // Rows differing only in thread budget or commit mode do not
-        // match: each side's stragglers warn, nothing fails, and the
-        // matched row is still gated.
+        // Rows differing only in thread budget or workload do not match:
+        // each side's stragglers warn, nothing fails, and the matched row
+        // is still gated.
         let fresh = [
             base_row,
             TrajectoryRow {
                 threads: 8,
-                ..base_row
-            },
-            TrajectoryRow {
-                sequential_commit: true,
                 ..base_row
             },
             TrajectoryRow {
@@ -1063,7 +975,7 @@ mod tests {
         let report = gate_trajectory(&baseline, &fresh, 0.3, 0.5, None);
         assert!(report.passed());
         assert_eq!(report.matched, 1);
-        assert_eq!(report.warnings.len(), 4, "{:?}", report.warnings);
+        assert_eq!(report.warnings.len(), 3, "{:?}", report.warnings);
         // A matched row that regressed still fails even when unmatched
         // rows are present.
         let regressed = [
@@ -1090,7 +1002,6 @@ mod tests {
             TrajectoryRow {
                 partitions: 200,
                 threads: 1,
-                sequential_commit: false,
                 workload: Workload::Steady,
                 indexed_eps: 100.0,
                 brute_eps: 20.0,
@@ -1099,7 +1010,6 @@ mod tests {
             TrajectoryRow {
                 partitions: 200,
                 threads: 8,
-                sequential_commit: false,
                 workload: Workload::Steady,
                 indexed_eps: 100.0,
                 brute_eps: 20.0,
@@ -1141,7 +1051,6 @@ mod tests {
         let row = |partitions: usize, indexed_eps: f64| TrajectoryRow {
             partitions,
             threads: 1,
-            sequential_commit: false,
             workload: Workload::Steady,
             indexed_eps,
             brute_eps: indexed_eps / 5.0,
@@ -1172,22 +1081,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_stats_and_memory_figure_land_in_json() {
+    fn memory_figure_lands_in_json() {
         let r = run_epoch_loop(4, 3, 1);
         let json = to_json_full(&[r], Some(123_456));
-        assert!(json.contains("\"decision_batches\""));
-        assert!(json.contains("\"max_batch_width\""));
-        assert!(json.contains("\"batch_conflicts\""));
         assert!(json.contains("\"bytes_per_partition\": 123456"));
         assert_eq!(parse_bytes_per_partition(&json), Some(123_456));
-        assert!(
-            r.indexed.decision_batches > 0,
-            "the default commit batches its actions"
-        );
-        assert_eq!(
-            r.indexed.decision_batches, r.brute_force.decision_batches,
-            "both pipelines replay the same batched trajectory"
-        );
         // Absent figure: field omitted, parser yields None.
         let bare = to_json(&[r]);
         assert!(!bare.contains("bytes_per_partition"));

@@ -85,19 +85,9 @@ pub struct ActionCounts {
     /// action genuinely overlapped the walk's reads (or changed the
     /// partition's membership) — and re-walked on the live state.
     pub spec_misses: u64,
-    /// Conflict-free batches the decision commit closed this epoch (each
-    /// applies its actions' partition-local placements in one worker-pool
-    /// dispatch; width-1 batches apply inline). Observability only — the
-    /// `SkuteConfig::sequential_decisions` oracle leaves all three batch
-    /// counters at zero, and they stay out of the CSV, which is what keeps
-    /// the byte-comparison against the oracle exact.
-    pub decision_batches: u64,
-    /// Widest batch the decision commit closed this epoch (merged across
-    /// epochs by maximum, not sum).
-    pub max_batch_width: u64,
-    /// Actions that conflicted with their open batch (shared a touched
-    /// server) and fell back to in-place sequential application after the
-    /// batch flushed.
+    /// Always 0: the decision commit applies every action in place, in
+    /// the seeded shuffle order, so no action ever conflicts with a batch.
+    /// The field stays because external benchmark code reads it.
     pub batch_conflicts: u64,
     /// Quarantined replicas re-seeded from a healthy peer by the scrub
     /// pass. Observability only — the rebuild restores the replica's
@@ -158,8 +148,6 @@ impl ActionCounts {
         self.measured_migrated_bytes += other.measured_migrated_bytes;
         self.spec_hits += other.spec_hits;
         self.spec_misses += other.spec_misses;
-        self.decision_batches += other.decision_batches;
-        self.max_batch_width = self.max_batch_width.max(other.max_batch_width);
         self.batch_conflicts += other.batch_conflicts;
         self.scrub_rebuilds += other.scrub_rebuilds;
         self.measured_scrub_bytes += other.measured_scrub_bytes;
@@ -409,8 +397,6 @@ mod tests {
             measured_migrated_bytes: 70,
             spec_hits: 9,
             spec_misses: 1,
-            decision_batches: 3,
-            max_batch_width: 5,
             batch_conflicts: 2,
             scrub_rebuilds: 2,
             measured_scrub_bytes: 40,
@@ -424,8 +410,6 @@ mod tests {
         assert_eq!(a.measured_transferred_bytes(), 400);
         assert_eq!(a.spec_hits, 18);
         assert_eq!(a.spec_misses, 2);
-        assert_eq!(a.decision_batches, 6);
-        assert_eq!(a.max_batch_width, 5, "widths merge by max, not sum");
         assert_eq!(a.batch_conflicts, 4);
         assert_eq!(a.scrub_rebuilds, 4);
         assert_eq!(a.measured_scrub_bytes, 80);

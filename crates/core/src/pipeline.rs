@@ -13,11 +13,8 @@
 //! 2. a **sequential commit pass** that applies every effect on shared
 //!    state — capacity meters, rent-board-indexed structures, executed
 //!    actions — in a fixed order (ring/partition order for traffic, the
-//!    seeded shuffle order for decisions). Traffic delivery additionally
-//!    splits its commit: the sequential reconciliation only validates and
-//!    applies capacity-meter movement, while the per-replica accrual of
-//!    spill-free partitions runs as a second parallel pass (see
-//!    [`crate::SkuteCloud::deliver_queries_multi`]).
+//!    seeded shuffle order for decisions). Commits never fan out, at any
+//!    thread count.
 //!
 //! The pool holds parked workers for the lifetime of the cloud; the
 //! workspace denies `unsafe_code`, so jobs must own their data — each
@@ -70,11 +67,10 @@ use skute_geo::{Location, RegionWeight, Topology};
 use skute_ring::PartitionId;
 
 use crate::availability::availability_of;
-use crate::batch::{apply_deferred, BatchTask};
 use crate::decision::{classify, Intent, VnodeSituation};
 use crate::metrics::mean_cv;
 use crate::placement::{economic_target, PlacementContext, PlacementIndex, WalkScratch};
-use crate::vnode::{DeliveryPlan, PartitionState};
+use crate::vnode::PartitionState;
 
 /// Chunk size of a compute-heavy parallel phase over `n` partitions. Small
 /// inputs stay in one chunk (which runs inline, with zero queue traffic);
@@ -239,9 +235,6 @@ struct DeliveryCtx {
     topology: Arc<Topology>,
     /// `(total_queries, total_pop, regions)` per batch.
     params: Vec<(f64, f64, Vec<RegionWeight>)>,
-    /// Whether to precompute planned delivery events (only the reconciled
-    /// parallel commit consumes them).
-    with_events: bool,
 }
 
 /// Reclaims a phase context at the barrier. [`WorkerPool::run_tasks`]
@@ -316,16 +309,14 @@ impl EpochPipeline {
     /// Plans query delivery for every ring of a batch in **one** pool
     /// dispatch: for every partition, folds the epoch's region mix into
     /// `region_queries`, refreshes the proximity cache, fills the
-    /// partition's [`DeliveryPlan`] (per-replica proximity weights, client
-    /// distances, serving order) and precomputes the planned delivery
-    /// event sequence. Reads only immutable-for-the-phase state; writes
-    /// only partition-local state, so chunks are independent.
+    /// partition's [`crate::DeliveryPlan`] (per-replica proximity weights,
+    /// client distances, serving order). Reads only immutable-for-the-phase
+    /// state; writes only partition-local state, so chunks are independent.
     pub(crate) fn plan_delivery_multi(
         &self,
         cluster: Cluster,
         topology: Arc<Topology>,
         mut batches: Vec<DeliveryBatch>,
-        with_events: bool,
     ) -> (Cluster, Vec<DeliveryBatch>) {
         let mut tasks: Vec<(usize, Vec<(PartitionId, PartitionState)>)> = Vec::new();
         let mut params: Vec<(f64, f64, Vec<RegionWeight>)> = Vec::with_capacity(batches.len());
@@ -345,7 +336,6 @@ impl EpochPipeline {
             cluster,
             topology,
             params,
-            with_events,
         });
         let job_ctx = Arc::clone(&ctx);
         let results = self.pool.run_tasks(tasks, move |_, (bi, mut chunk)| {
@@ -358,7 +348,6 @@ impl EpochPipeline {
                     regions,
                     *total_queries,
                     *total_pop,
-                    job_ctx.with_events,
                 );
             }
             (bi, chunk)
@@ -373,29 +362,6 @@ impl EpochPipeline {
             batch.regions = regions;
         }
         (ctx.cluster, batches)
-    }
-
-    /// The parallel accrual half of the traffic commit: partitions whose
-    /// planned events committed spill-free (marked by the reconciliation
-    /// pass via [`DeliveryPlan::accrual_pending`]) apply their per-replica
-    /// query counts and eq.-(5) utility from the planned event sequence —
-    /// partition-local arithmetic, bit-identical to the sequential
-    /// commit's in-loop accrual because the event values and per-replica
-    /// fold order are exactly the ones the sequential loop would produce.
-    pub(crate) fn apply_traffic_accrual(
-        &self,
-        parts: Vec<(usize, PartitionId, PartitionState)>,
-        gamma: f64,
-    ) -> Vec<(usize, PartitionId, PartitionState)> {
-        let chunk = light_chunk(parts.len());
-        let tasks = split_chunks(parts, chunk);
-        let results = self.pool.run_tasks(tasks, move |_, mut chunk| {
-            for (_, _, part) in &mut chunk {
-                accrue_one(part, gamma);
-            }
-            chunk
-        });
-        results.into_iter().flatten().collect()
     }
 
     // ------------------------------------------------------------------
@@ -422,125 +388,6 @@ impl EpochPipeline {
             chunk
         });
         (reclaim(ctx), results.into_iter().flatten().collect())
-    }
-
-    /// The repair pass's parallel plan pass: one speculative eq.-(3)
-    /// target query per below-threshold candidate partition against the
-    /// frozen index snapshot, filling [`EpochPipeline::pre`] with one
-    /// slot per candidate in flat (ring, partition) order. The sequential
-    /// commit (the seeded shuffle scan of
-    /// `crate::SkuteCloud::repair_availability`) honors each speculation
-    /// on a candidate's **first** repair iteration while read-set
-    /// validation holds, and re-walks the live state otherwise — follow-up
-    /// iterations always re-walk, exactly like the sequential oracle.
-    pub(crate) fn repairs_prepass(
-        &mut self,
-        cluster: Cluster,
-        board: Board,
-        topology: Arc<Topology>,
-        economy: EconomyConfig,
-        index: PlacementIndex,
-        items: Vec<DecisionItem>,
-    ) -> (Cluster, Board, PlacementIndex, Vec<DecisionItem>) {
-        let chunk = phase_chunk(items.len());
-        let chunks = split_chunks(items, chunk);
-        let n_chunks = chunks.len();
-        self.states.truncate(n_chunks);
-        while self.states.len() < n_chunks {
-            self.states.push(DecisionScratch::default());
-        }
-        self.slot_bufs.truncate(n_chunks);
-        while self.slot_bufs.len() < n_chunks {
-            self.slot_bufs.push(Vec::new());
-        }
-        let tasks: Vec<(Vec<DecisionItem>, Vec<PreDecision>, DecisionScratch)> = chunks
-            .into_iter()
-            .zip(self.slot_bufs.iter_mut().map(std::mem::take))
-            .zip(self.states.iter_mut().map(std::mem::take))
-            .map(|((items, mut slots), mut scratch)| {
-                slots.clear();
-                scratch.reads.clear();
-                (items, slots, scratch)
-            })
-            .collect();
-        let ctx = Arc::new(DecisionCtx {
-            cluster,
-            board,
-            topology,
-            economy,
-            index,
-            brute_force: false,
-            speculation: true,
-            min_rent: None,
-        });
-        let job_ctx = Arc::clone(&ctx);
-        let results = self
-            .pool
-            .run_tasks(tasks, move |_, (mut items, mut slots, mut scratch)| {
-                let inputs = DecisionInputs {
-                    cluster: &job_ctx.cluster,
-                    board: &job_ctx.board,
-                    topology: &job_ctx.topology,
-                    economy: &job_ctx.economy,
-                    index: &job_ctx.index,
-                    brute_force: job_ctx.brute_force,
-                    speculation: job_ctx.speculation,
-                    min_rent: job_ctx.min_rent,
-                };
-                for item in &mut items {
-                    plan_one_repair(&mut item.part, &inputs, &mut slots, &mut scratch);
-                }
-                (items, slots, scratch)
-            });
-        // Chunk order = flat candidate order: splice exactly like the
-        // decision prepass.
-        self.pre.clear();
-        self.spec_reads.clear();
-        let mut items_back: Vec<DecisionItem> = Vec::new();
-        for (ci, (items, slots, scratch)) in results.into_iter().enumerate() {
-            items_back.extend(items);
-            let base = self.spec_reads.len() as u32;
-            self.spec_reads.extend_from_slice(&scratch.reads);
-            let start = self.pre.len();
-            self.pre.extend_from_slice(&slots);
-            if base > 0 {
-                for p in &mut self.pre[start..] {
-                    p.spec_reads_start += base;
-                }
-            }
-            self.slot_bufs[ci] = slots;
-            self.states[ci] = scratch;
-        }
-        let ctx = reclaim(ctx);
-        (ctx.cluster, ctx.board, ctx.index, items_back)
-    }
-
-    /// The single-thread fast path of the repair plan pass: identical
-    /// per-candidate arithmetic run in place over borrowed partitions.
-    /// `items` must yield the candidates in flat (ring, partition) order
-    /// so the slot layout matches the owned dispatch exactly.
-    pub(crate) fn repairs_prepass_inline<'a>(
-        &mut self,
-        items: impl Iterator<Item = &'a mut PartitionState>,
-        inputs: &DecisionInputs<'_>,
-    ) {
-        if self.states.is_empty() {
-            self.states.push(DecisionScratch::default());
-        }
-        let Self {
-            pre,
-            states,
-            spec_reads,
-            ..
-        } = self;
-        let scratch = &mut states[0];
-        scratch.reads.clear();
-        pre.clear();
-        for part in items {
-            plan_one_repair(part, inputs, pre, scratch);
-        }
-        spec_reads.clear();
-        std::mem::swap(spec_reads, &mut scratch.reads);
     }
 
     // ------------------------------------------------------------------
@@ -676,22 +523,6 @@ impl EpochPipeline {
         // already flat.
         spec_reads.clear();
         std::mem::swap(spec_reads, &mut scratch.reads);
-    }
-
-    /// Applies one conflict-free decision batch in a single pool
-    /// dispatch: each task owns its partition (moved out of the ring map
-    /// by the caller) and applies its deferred placement with
-    /// [`apply_deferred`] — pure partition-local work whose meters were
-    /// already moved sequentially at resolution time. Tasks come back in
-    /// op order, so the caller's measured-byte accumulation and partition
-    /// restore replay the sequential order exactly. The batch is
-    /// pairwise partition-disjoint by construction (see `crate::batch`),
-    /// so tasks touch disjoint replica vectors and stores.
-    pub(crate) fn commit_decision_batch(&self, tasks: Vec<BatchTask>) -> Vec<BatchTask> {
-        self.pool.run_tasks(tasks, move |_, mut task| {
-            task.measured = apply_deferred(&task.op.kind, &mut task.part);
-            task
-        })
     }
 
     // ------------------------------------------------------------------
@@ -854,9 +685,8 @@ struct ReportTask {
     vnodes: Vec<(ServerId, usize)>,
 }
 
-/// One partition's delivery plan: region-mix fold, proximity refresh,
-/// per-replica weights/distances/serving order, and (for the reconciled
-/// parallel commit) the planned event sequence. Pure per-partition work
+/// One partition's delivery plan: region-mix fold, proximity refresh, and
+/// per-replica weights/distances/serving order. Pure per-partition work
 /// against immutable cluster state; shared verbatim by the owned dispatch
 /// and the single-thread inline path.
 pub(crate) fn plan_one_delivery(
@@ -866,10 +696,8 @@ pub(crate) fn plan_one_delivery(
     regions: &[RegionWeight],
     total_queries: f64,
     total_pop: f64,
-    with_events: bool,
 ) {
     part.delivery.ready = false;
-    part.delivery.accrual_pending = false;
     let q = total_queries * part.popularity / total_pop;
     if q <= 0.0 {
         return;
@@ -936,70 +764,6 @@ pub(crate) fn plan_one_delivery(
     delivery.q = q;
     delivery.sum_g = delivery.gs.iter().sum();
     delivery.ready = true;
-    if with_events {
-        plan_events(delivery);
-    }
-}
-
-/// Applies one spill-free partition's planned per-replica accrual: query
-/// counts and eq.-(5) utility from the planned event sequence, in event
-/// order — the same per-replica folds the sequential commit interleaves
-/// with its serving loop.
-pub(crate) fn accrue_one(part: &mut PartitionState, gamma: f64) {
-    let PartitionState {
-        replicas, delivery, ..
-    } = part;
-    debug_assert!(delivery.accrual_pending);
-    for &(i, served) in &delivery.events {
-        replicas[i].queries_epoch += served;
-        replicas[i].utility_epoch += gamma * served * delivery.gs[i];
-    }
-    delivery.accrual_pending = false;
-}
-
-/// Precomputes the planned delivery event sequence of one partition,
-/// replaying the sequential commit's arithmetic **bit-exactly** under the
-/// assumption that no server's query-capacity meter binds: the
-/// proximity-proportional pass (each take clipped by the partition's
-/// remaining queries, exactly like `serve_on` would return it uncapped),
-/// then the spill pass, which under that assumption is absorbed entirely
-/// by the closest replica, driving the remainder to exactly `0.0`. The
-/// commit's reconciliation validates the assumption against live meters
-/// and falls back to the sequential algorithm per partition where it
-/// fails, so these planned floats are only ever committed when they equal
-/// the sequential outcome.
-fn plan_events(d: &mut DeliveryPlan) {
-    d.events.clear();
-    d.served_total = 0.0;
-    d.final_remaining = 0.0;
-    d.distance_sum = 0.0;
-    if !d.ready || d.sum_g <= 0.0 {
-        return;
-    }
-    let mut remaining = d.q;
-    let mut served_total = 0.0;
-    let mut distance_sum = 0.0;
-    for &i in &d.order {
-        let want = d.q * d.gs[i] / d.sum_g;
-        let served = want.min(remaining);
-        d.events.push((i, served));
-        distance_sum += served * d.dists[i];
-        remaining -= served;
-        served_total += served;
-    }
-    if remaining > 1e-9 {
-        // Spill pass: with no capacity binding, the closest replica
-        // absorbs the whole float residue (`remaining - remaining = 0.0`).
-        let best = d.order[0];
-        let served = remaining;
-        d.events.push((best, served));
-        distance_sum += served * d.dists[best];
-        remaining -= served;
-        served_total += served;
-    }
-    d.served_total = served_total;
-    d.final_remaining = remaining;
-    d.distance_sum = distance_sum;
 }
 
 /// One partition's slice of the decision plan pass: records balances,
@@ -1128,53 +892,6 @@ fn plan_one_decision(
         }
         slots.push(pre);
     }
-}
-
-/// One candidate partition's slice of the repair plan pass: a single
-/// speculative eq.-(3) replication target (no rent cap — the repair pass
-/// buys availability at any price, exactly like its sequential walk) with
-/// the walk's read set recorded. One [`PreDecision`] slot per candidate;
-/// only the speculation fields and the membership version are meaningful.
-fn plan_one_repair(
-    part: &mut PartitionState,
-    ctx: &DecisionInputs<'_>,
-    slots: &mut Vec<PreDecision>,
-    scratch: &mut DecisionScratch,
-) {
-    let pctx = PlacementContext {
-        cluster: ctx.cluster,
-        board: ctx.board,
-        topology: ctx.topology,
-        economy: ctx.economy,
-    };
-    let mut pre = PreDecision {
-        membership_version: part.membership_version,
-        ..PreDecision::default()
-    };
-    scratch.servers.clear();
-    scratch
-        .servers
-        .extend(part.replicas.iter().map(|r| r.server));
-    let size = part.size_bytes();
-    let PartitionState {
-        region_queries,
-        prox_cache,
-        ..
-    } = &mut *part;
-    pre.spec = speculate(
-        ctx.index,
-        ctx.brute_force,
-        &pctx,
-        &scratch.servers,
-        size,
-        region_queries,
-        prox_cache,
-        None,
-        &mut scratch.walk,
-    );
-    pre.spec_computed = true;
-    record_spec_reads(&mut pre, scratch);
-    slots.push(pre);
 }
 
 /// Memoized eq.-(2) availability of a partition's current replica set,

@@ -77,20 +77,33 @@ fn thread_counts_replay_bitwise_identically() {
     // phase inline (the sequential path); larger budgets fan the plan
     // passes out across workers. Every field of every per-epoch
     // Observation — floats included — must be bitwise identical, through
-    // traffic, repairs, economic decisions and a failure burst.
-    let run = |threads: usize| {
-        let mut s = paper::scaled_scenario("threads-det", 16, 2_500, 14);
-        s.seed = 0x7EAD;
-        s.config.threads = threads;
-        s.schedule = Schedule::new().at(7, CloudEvent::RemoveServers { count: 8 });
-        Simulation::new(s).run()
-    };
-    let sequential = run(1);
-    for threads in [2usize, 8] {
-        let parallel = run(threads);
-        assert_eq!(sequential.len(), parallel.len());
-        for (epoch, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
-            assert_eq!(a, b, "threads = {threads} diverges at epoch {epoch}");
+    // traffic, repairs, economic decisions and a failure burst. The second
+    // input is a denser burst (12 servers at epoch 9, 24 partitions per
+    // app): its post-burst epochs overlap many suicides, migrations and
+    // repairs on shared servers and partitions.
+    // (name, partitions, queries, epochs, seed, burst epoch, servers removed)
+    let inputs = [
+        ("threads-det", 16, 2_500, 14, 0x7EAD, 7, 8),
+        ("threads-det-burst", 24, 3_000, 16, 0xBA7C, 9, 12),
+    ];
+    for (name, partitions, queries, epochs, seed, burst, count) in inputs {
+        let run = |threads: usize| {
+            let mut s = paper::scaled_scenario(name, partitions, queries, epochs);
+            s.seed = seed;
+            s.config.threads = threads;
+            s.schedule = Schedule::new().at(burst, CloudEvent::RemoveServers { count });
+            Simulation::new(s).run()
+        };
+        let sequential = run(1);
+        for threads in [2usize, 8] {
+            let parallel = run(threads);
+            assert_eq!(sequential.len(), parallel.len());
+            for (epoch, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
+                assert_eq!(
+                    a, b,
+                    "{name}: threads = {threads} diverges at epoch {epoch}"
+                );
+            }
         }
     }
 }
@@ -122,9 +135,8 @@ fn indexed_and_brute_force_placement_produce_identical_trajectories() {
     // pipeline's Observation series exactly — same winners, same
     // tie-breaks, same floats — across a scenario with traffic, repairs
     // and a failure burst. The only permitted difference is the hit/miss
-    // observability counters: brute-force mode disables the speculative
-    // decision and repair passes entirely, so it evaluates no
-    // speculations and both counters stay zero.
+    // observability counters: brute-force mode evaluates no speculations,
+    // so both counters stay zero.
     let run = |brute: bool| {
         let mut s = paper::scaled_scenario("oracle-eq", 24, 3_000, 15);
         s.seed = 0x0514CE;
@@ -143,80 +155,6 @@ fn indexed_and_brute_force_placement_produce_identical_trajectories() {
         ob.report.actions.spec_hits = 0;
         ob.report.actions.spec_misses = 0;
         assert_eq!(oi, ob, "trajectories diverge at epoch {epoch}");
-    }
-}
-
-#[test]
-fn traffic_commit_modes_conserve_per_server_queries_on_all_scenarios() {
-    // The sharded traffic commit's acceptance bar: on every paper scenario
-    // the parallel commit (planned spill-free deliveries + sequential
-    // reconciliation) must be **bitwise identical** to the sequential
-    // oracle (`SkuteConfig::sequential_traffic_commit`) — every float of
-    // every Observation *and* every server's served/dropped query meters,
-    // epoch by epoch. Bitwise equality subsumes conservation: the total
-    // delivered and spilled queries per server per epoch match exactly.
-    for scenario in [
-        paper::base_scenario(),
-        paper::fig2_scenario(),
-        paper::fig3_scenario(),
-        paper::fig4_scenario(),
-        paper::fig5_scenario(),
-    ] {
-        let run = |sequential: bool| {
-            let mut s = scenario.clone();
-            s.epochs = 15;
-            s.config.sequential_traffic_commit = sequential;
-            let mut sim = Simulation::new(s);
-            let mut out = Vec::new();
-            for _ in 0..15 {
-                let obs = sim.step();
-                let meters: Vec<(ServerId, u64, u64)> = sim
-                    .cloud()
-                    .cluster()
-                    .alive()
-                    .map(|srv| {
-                        (
-                            srv.id,
-                            srv.usage.queries_served.to_bits(),
-                            srv.usage.queries_dropped.to_bits(),
-                        )
-                    })
-                    .collect();
-                out.push((obs, meters));
-            }
-            out
-        };
-        let parallel = run(false);
-        let sequential = run(true);
-        assert_eq!(parallel.len(), sequential.len());
-        for (epoch, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
-            assert_eq!(
-                p, s,
-                "commit modes diverge on {} at epoch {epoch}",
-                scenario.name
-            );
-        }
-    }
-}
-
-#[test]
-fn sequential_commit_mode_replays_bitwise_across_thread_counts() {
-    // The oracle mode gets the same thread-invariance bar as the default:
-    // routing the commit through the sequential loop must not reintroduce
-    // any thread-count dependence in the (still parallel) plan passes.
-    let run = |threads: usize| {
-        let mut s = paper::scaled_scenario("seq-commit-threads", 16, 2_500, 10);
-        s.seed = 0x5EC0;
-        s.config.threads = threads;
-        s.config.sequential_traffic_commit = true;
-        Simulation::new(s).run()
-    };
-    let sequential = run(1);
-    for threads in [2usize, 8] {
-        let parallel = run(threads);
-        for (epoch, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
-            assert_eq!(a, b, "threads = {threads} diverges at epoch {epoch}");
-        }
     }
 }
 
@@ -265,56 +203,6 @@ fn speculation_oracle_replays_bitwise_identically() {
         "the convergence epochs must honor speculations past the first commit"
     );
     let _ = re_walked; // conflicts are workload-dependent; only hits are asserted
-}
-
-#[test]
-fn sequential_decisions_oracle_replays_bitwise_identically() {
-    // The batched decision commit's acceptance bar: routing the commit
-    // through the one-action-at-a-time sequential walk
-    // (`SkuteConfig::sequential_decisions`) must replay the batched
-    // pipeline's trajectory **bitwise** — across a convergence phase, a
-    // failure burst and steady state, at several thread counts. The only
-    // permitted difference is the batch observability counters themselves
-    // (the oracle builds no batches). Random conflict interleavings get
-    // the same bar from the failure burst: the post-outage epochs are
-    // dense with overlapping suicides/migrations, so both flush triggers
-    // (partition reuse and the in-place server-conflict fallback) are
-    // exercised against the sequential walk.
-    let run = |sequential: bool, threads: usize| {
-        let mut s = paper::scaled_scenario("seq-decisions-oracle", 24, 3_000, 16);
-        s.seed = 0xBA7C;
-        s.config.sequential_decisions = sequential;
-        s.config.threads = threads;
-        s.schedule = Schedule::new().at(9, CloudEvent::RemoveServers { count: 12 });
-        Simulation::new(s).run()
-    };
-    let batched = run(false, 1);
-    let mut batches = 0u64;
-    let mut widest = 0u64;
-    for threads in [1usize, 2, 8] {
-        let oracle = run(true, threads);
-        assert_eq!(batched.len(), oracle.len());
-        for (epoch, (a, b)) in batched.iter().zip(&oracle).enumerate() {
-            let mut a = a.clone();
-            batches += a.report.actions.decision_batches;
-            widest = widest.max(a.report.actions.max_batch_width);
-            a.report.actions.decision_batches = 0;
-            a.report.actions.max_batch_width = 0;
-            a.report.actions.batch_conflicts = 0;
-            assert_eq!(
-                b.report.actions.decision_batches, 0,
-                "the oracle builds no batches"
-            );
-            assert_eq!(b.report.actions.max_batch_width, 0);
-            assert_eq!(b.report.actions.batch_conflicts, 0);
-            assert_eq!(
-                &a, b,
-                "batched vs sequential decisions diverge at epoch {epoch}, threads {threads}"
-            );
-        }
-    }
-    assert!(batches > 0, "the default mode must commit through batches");
-    assert!(widest > 1, "the workload must co-batch disjoint actions");
 }
 
 #[test]
@@ -441,5 +329,74 @@ fn paper_scenarios_all_validate_and_build() {
         let obs = sim.step();
         assert_eq!(obs.report.epoch, 1);
         assert!(obs.report.total_vnodes() >= 600);
+    }
+}
+
+/// FNV-1a over the per-epoch quantities the golden test pins: per-ring
+/// vnode counts, the number of rings meeting their SLA, lost partitions
+/// and the four action counts.
+fn trajectory_digest(obs: &[Observation]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut word = |v: u64| {
+        for b in v.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for o in obs {
+        let r = &o.report;
+        word(r.epoch);
+        for ring in &r.rings {
+            word(ring.vnodes as u64);
+        }
+        word(
+            r.rings
+                .iter()
+                .filter(|g| g.sla_satisfied_frac >= 1.0)
+                .count() as u64,
+        );
+        word(r.partitions_lost);
+        let a = &r.actions;
+        for v in [
+            a.availability_replications,
+            a.profit_replications,
+            a.migrations,
+            a.suicides,
+        ] {
+            word(v);
+        }
+    }
+    h
+}
+
+#[test]
+fn golden_trajectory_digest_is_pinned() {
+    // Guards repair and decision semantics across commits: the repair walk
+    // and the decision commit have no oracle mode beside them, so this
+    // digest is what detects a change to either. A country outage and a
+    // later server-removal burst drive both passes hard, and the run
+    // executes all four action kinds. If a change alters the trajectory on
+    // purpose, re-pin the digest and say why in the commit.
+    const PINNED: u64 = 0xbb5a_0fbe_a0a8_ea87;
+    let run = |threads: usize| {
+        let mut s = paper::scaled_scenario("golden", 32, 100_000, 24);
+        s.seed = 0x601D;
+        s.config.threads = threads;
+        let (continent, country) = s
+            .topology
+            .iter_countries()
+            .next()
+            .expect("the paper topology has countries");
+        s.schedule = Schedule::new()
+            .at(10, CloudEvent::CountryOutage { continent, country })
+            .at(16, CloudEvent::RemoveServers { count: 12 });
+        trajectory_digest(&Simulation::new(s).run())
+    };
+    for threads in [1usize, 2] {
+        let got = run(threads);
+        assert_eq!(
+            got, PINNED,
+            "trajectory digest {got:#018x} at threads = {threads} differs from the pinned {PINNED:#018x}"
+        );
     }
 }
