@@ -1,21 +1,16 @@
 //! The epoch-loop throughput benchmark: the rent-indexed decision pipeline
 //! against the brute-force full-scan oracle at M ∈ {16, 50, 200} partitions
 //! per application, from a cold start (covering the decision-heavy
-//! convergence phase), plus the M = 200 thread-scaling rows at pipeline
-//! threads ∈ {1, 2, 4, 8}, a pool-overhead row (M = 16 at 8 threads:
-//! dispatch handoff dominates, charting the persistent pool's fixed cost),
-//! a convergence/churn row (M = 200 under a
+//! convergence phase), plus a convergence/churn row (M = 200 under a
 //! failure burst plus a capacity upgrade — many actions per epoch) that
 //! also charts the decision commit pass's speculation hit rate, and an
 //! outage-burst row (M = 200 under a whole-country failure) gating the
 //! repair pass's throughput under correlated failures, and the M = 2000
 //! memory-scale rows (steady + churn) anchoring the gate's scaling-slope
-//! guard and the `bytes_per_partition` RSS figure. Rows
-//! sharing a workload replay the same bitwise trajectory; only wall clock
-//! differs. Prints the comparison table and writes the machine-readable
+//! guard and the `bytes_per_partition` RSS figure. Prints the comparison table and writes the machine-readable
 //! perf trajectory to `BENCH_epoch.json` at the workspace root; CI's
 //! bench-smoke job diffs that file against the committed one with the
-//! `bench_gate` binary (rows matched by `(partitions, threads, workload)`
+//! `bench_gate` binary (rows matched by `(partitions, workload)`
 //! key; unmatched rows skip with a warning, and the hit rate and memory
 //! figure are informational).
 //!
@@ -41,7 +36,7 @@ fn main() {
     }
     if let Some(r) = results
         .iter()
-        .find(|r| r.partitions == 200 && r.threads == 1 && r.workload == perf::Workload::Steady)
+        .find(|r| r.partitions == 200 && r.workload == perf::Workload::Steady)
     {
         println!(
             "M = 200 speedup: {:.2}x ({:.2} → {:.2} epochs/sec)",

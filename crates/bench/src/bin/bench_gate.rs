@@ -6,11 +6,11 @@
 //! ```
 //!
 //! Parses both `BENCH_epoch.json` documents, matches rows **by key** —
-//! `(partitions, threads, workload)` — skipping unmatched rows on either
-//! side with a warning (so adding or retiring bench rows never fails the
-//! gate). Rows of older documents that measured the removed
-//! `"commit": "sequential"` traffic commit are dropped by the parser and
-//! never match. The speculation hit rate of matched rows is
+//! `(partitions, workload)` — skipping unmatched rows on either side with
+//! a warning (so adding or retiring bench rows never fails the gate). Rows
+//! of older documents that measured a removed mode (`"threads"` other
+//! than 1, or the `"commit": "sequential"` traffic commit) are dropped by
+//! the parser and never match. The speculation hit rate of matched rows is
 //! **informational**: a collapse warns, never fails. The gate exits
 //! non-zero when a matched row fell below either floor:
 //!
@@ -23,10 +23,7 @@
 //!   slow both pipelines equally; hardware-sensitive, so its default
 //!   tolerance is generous.
 //!
-//! Rows whose thread budget exceeds the committed baseline's `host_cpus`
-//! are advisory-only (their floors demote to warnings — oversubscribed
-//! wall clock charts scheduler contention, not the code), a scaling-slope
-//! guard fails when the M = 200 → M = 2000 throughput decay steepens past
+//! A scaling-slope guard fails when the M = 200 → M = 2000 throughput decay steepens past
 //! the ratio tolerance, and the `bytes_per_partition` memory figure is
 //! printed informationally.
 
@@ -112,8 +109,8 @@ fn append_step_summary(markdown: &str) {
 /// Warns — on stdout and, when `$GITHUB_STEP_SUMMARY` is set, as a line
 /// in the CI job summary — when the committed baseline was produced on a
 /// machine with a different core count than this runner. The ratio floor
-/// is hardware-neutral, but the absolute epochs/sec backstop and the
-/// scaling rows' shape are only comparable on similar hardware.
+/// is hardware-neutral, but the absolute epochs/sec backstop is only
+/// comparable on similar hardware.
 fn warn_on_host_mismatch(baseline_path: &str, baseline_body: &str) {
     let Some(baseline_cpus) = parse_host_cpus(baseline_body) else {
         return; // Pre-host_cpus document: nothing to compare.
@@ -126,9 +123,9 @@ fn warn_on_host_mismatch(baseline_path: &str, baseline_body: &str) {
     }
     let msg = format!(
         "committed baseline {baseline_path} was produced on a {baseline_cpus}-cpu host but \
-         this runner has {runner_cpus} cpus — the absolute epochs/sec floor and the \
-         thread-scaling rows are not hardware-comparable; trust the speedup-ratio floor \
-         and consider recommitting the baseline from this runner class"
+         this runner has {runner_cpus} cpus — the absolute epochs/sec floor is not \
+         hardware-comparable; trust the speedup-ratio floor and consider recommitting \
+         the baseline from this runner class"
     );
     gh_annotate("warning", &msg);
     append_step_summary(&format!(":warning: **bench_gate**: {msg}"));
@@ -166,7 +163,6 @@ fn main() -> ExitCode {
         }
         _ => {}
     }
-    let baseline_host_cpus = parse_host_cpus(&baseline);
     let baseline = parse_trajectory(&baseline);
     let current = parse_trajectory(&current);
     if baseline.is_empty() {
@@ -236,7 +232,6 @@ fn main() -> ExitCode {
         &current,
         args.ratio_tolerance,
         args.abs_tolerance,
-        baseline_host_cpus,
     );
     for w in &report.warnings {
         gh_annotate("warning", w);

@@ -51,15 +51,14 @@ pub struct PipelineTiming {
     /// Total vnode decisions over the run.
     pub decisions: u64,
     /// Speculative eq.-(3) targets honored by the decision commit passes
-    /// over the run (identical across pipelines and thread counts — the
-    /// trajectory is deterministic).
+    /// over the run (identical across pipelines — the trajectory is
+    /// deterministic).
     pub spec_hits: u64,
     /// Speculations discarded and re-walked over the run.
     pub spec_misses: u64,
 }
 
-/// Head-to-head result for one partition count at one worker-thread count
-/// and one workload shape.
+/// Head-to-head result for one partition count and one workload shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochLoopResult {
     /// Partitions per application (the paper's M).
@@ -68,10 +67,6 @@ pub struct EpochLoopResult {
     /// decision-heavy convergence phase, not just the converged steady
     /// state).
     pub epochs: u64,
-    /// Worker threads of the epoch pipeline's parallel phases. The
-    /// trajectory is bitwise identical at every value; only wall clock
-    /// moves, so rows at different thread counts chart the scaling curve.
-    pub threads: usize,
     /// The workload shape layered on the cold start.
     pub workload: Workload,
     /// The rent-indexed pipeline (the default).
@@ -98,8 +93,7 @@ impl EpochLoopResult {
     }
 }
 
-/// Times one pipeline over the scaled scenario with `partitions` per app,
-/// running the epoch pipeline's parallel phases on `threads` workers.
+/// Times one pipeline over the scaled scenario with `partitions` per app.
 ///
 /// Best-of-two: the run is measured twice (identical trajectories — the
 /// scenario is seeded) and the faster wall clock kept, so a single
@@ -109,7 +103,6 @@ pub fn time_pipeline(
     partitions: usize,
     epochs: u64,
     brute_force: bool,
-    threads: usize,
     workload: Workload,
 ) -> PipelineTiming {
     let mut best: Option<PipelineTiming> = None;
@@ -122,7 +115,6 @@ pub fn time_pipeline(
         );
         scenario.seed = 0xBE_7C;
         scenario.config.brute_force_placement = brute_force;
-        scenario.config.threads = threads;
         match workload {
             Workload::Steady => {}
             Workload::Churn => {
@@ -174,35 +166,23 @@ pub fn time_pipeline(
     best.expect("two passes ran")
 }
 
-/// Runs both pipelines at one partition count and thread count on the
-/// steady cold start.
-pub fn run_epoch_loop(partitions: usize, epochs: u64, threads: usize) -> EpochLoopResult {
-    run_epoch_loop_mode(partitions, epochs, threads, Workload::Steady)
+/// Runs both pipelines at one partition count on the steady cold start.
+pub fn run_epoch_loop(partitions: usize, epochs: u64) -> EpochLoopResult {
+    run_epoch_loop_mode(partitions, epochs, Workload::Steady)
 }
 
-/// Runs both pipelines at one partition count, thread count and workload
-/// shape.
-pub fn run_epoch_loop_mode(
-    partitions: usize,
-    epochs: u64,
-    threads: usize,
-    workload: Workload,
-) -> EpochLoopResult {
+/// Runs both pipelines at one partition count and workload shape.
+pub fn run_epoch_loop_mode(partitions: usize, epochs: u64, workload: Workload) -> EpochLoopResult {
     EpochLoopResult {
         partitions,
         epochs,
-        threads,
         workload,
-        indexed: time_pipeline(partitions, epochs, false, threads, workload),
-        brute_force: time_pipeline(partitions, epochs, true, threads, workload),
+        indexed: time_pipeline(partitions, epochs, false, workload),
+        brute_force: time_pipeline(partitions, epochs, true, workload),
     }
 }
 
-/// The standard sweep: the paper's M = 200 plus two reduced scales at one
-/// worker, the M = 200 scaling curve at threads ∈ {2, 4, 8}, a
-/// **pool-overhead** row (M = 16 at 8 threads: per-chunk work so small
-/// the row is dominated by the persistent pool's dispatch handoff — on a
-/// single-core host it is pure overhead by construction), a
+/// The standard sweep: the paper's M = 200 plus two reduced scales, a
 /// **convergence/churn** row (M = 200 with a failure burst and a
 /// capacity upgrade) where dozens of actions execute per epoch — the
 /// workload whose commit pass the read-set speculation turns from
@@ -216,34 +196,28 @@ pub fn run_epoch_loop_mode(
 /// baseline, and `BENCH_epoch.json` charts a `bytes_per_partition`
 /// figure at the same scale. Epoch counts shrink as M grows so the
 /// whole sweep stays a smoke-test-sized run while still covering the
-/// decision-heavy convergence phase. Rows sharing a workload replay the
-/// same bitwise trajectory; only wall clock differs.
+/// decision-heavy convergence phase.
 pub fn standard_sweep() -> Vec<EpochLoopResult> {
     use Workload::{Churn, Outage, Steady};
     [
-        (16usize, 40u64, 1usize, Steady),
-        (50, 25, 1, Steady),
-        (200, 12, 1, Steady),
-        (200, 12, 2, Steady),
-        (200, 12, 4, Steady),
-        (200, 12, 8, Steady),
-        // Pool-overhead row.
-        (16, 40, 8, Steady),
+        (16usize, 40u64, Steady),
+        (50, 25, Steady),
+        (200, 12, Steady),
         // Convergence/churn row: a failure burst and a capacity upgrade
         // keep many actions executing per epoch, charting the
         // speculation hit rate of the decision commit pass.
-        (200, 18, 1, Churn),
+        (200, 18, Churn),
         // Outage-burst row: repair throughput under a correlated
         // whole-country failure.
-        (200, 18, 1, Outage),
+        (200, 18, Outage),
         // Memory-scale rows: M = 2000 partitions per app (the server
         // count stays the paper's 200), anchoring the scaling-slope
         // guard and the bytes-per-partition figure.
-        (2_000, 4, 1, Steady),
-        (2_000, 6, 1, Churn),
+        (2_000, 4, Steady),
+        (2_000, 6, Churn),
     ]
     .into_iter()
-    .map(|(m, epochs, threads, w)| run_epoch_loop_mode(m, epochs, threads, w))
+    .map(|(m, epochs, w)| run_epoch_loop_mode(m, epochs, w))
     .collect()
 }
 
@@ -255,8 +229,8 @@ fn timing_json(t: &PipelineTiming) -> String {
 }
 
 /// Serializes a sweep as the `BENCH_epoch.json` document. `host_cpus`
-/// records the bench machine's available parallelism so scaling rows are
-/// read in context (threads beyond the host's cores cannot speed up).
+/// records the bench machine's available parallelism so absolute rows are
+/// read in context.
 pub fn to_json(results: &[EpochLoopResult]) -> String {
     to_json_full(results, None)
 }
@@ -287,10 +261,9 @@ pub fn to_json_full(results: &[EpochLoopResult], bytes_per_partition: Option<u64
             None => String::new(),
         };
         out.push_str(&format!(
-            "    {{\"partitions\": {}, \"epochs\": {}, \"threads\": {}, \"workload\": \"{}\", {}\"indexed\": {}, \"brute_force\": {}, \"speedup\": {:.2}}}{}\n",
+            "    {{\"partitions\": {}, \"epochs\": {}, \"workload\": \"{}\", {}\"indexed\": {}, \"brute_force\": {}, \"speedup\": {:.2}}}{}\n",
             r.partitions,
             r.epochs,
-            r.threads,
             r.workload.label(),
             spec,
             timing_json(&r.indexed),
@@ -340,14 +313,12 @@ pub fn parse_bytes_per_partition(json: &str) -> Option<u64> {
 }
 
 /// One row parsed back out of a `BENCH_epoch.json` document: the key
-/// `(partitions, threads, workload)` plus both pipelines'
-/// epochs/sec and the informational speculation hit rate.
+/// `(partitions, workload)` plus both pipelines' epochs/sec and the
+/// informational speculation hit rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryRow {
     /// Partitions per application.
     pub partitions: usize,
-    /// Pipeline worker threads (1 when the document predates the field).
-    pub threads: usize,
     /// Workload shape ([`Workload::Steady`] when the document predates
     /// the field — older documents only measured the steady cold start).
     pub workload: Workload,
@@ -362,19 +333,14 @@ pub struct TrajectoryRow {
 
 impl TrajectoryRow {
     /// The row-matching key: rows are compared across documents only when
-    /// partitions, thread budget and workload all agree.
-    pub fn key(&self) -> (usize, usize, Workload) {
-        (self.partitions, self.threads, self.workload)
+    /// partitions and workload both agree.
+    pub fn key(&self) -> (usize, Workload) {
+        (self.partitions, self.workload)
     }
 
     /// Human-readable rendering of [`TrajectoryRow::key`].
     pub fn describe_key(&self) -> String {
-        format!(
-            "M = {}, threads = {}, {}",
-            self.partitions,
-            self.threads,
-            self.workload.label()
-        )
+        format!("M = {}, {}", self.partitions, self.workload.label())
     }
 }
 
@@ -391,7 +357,7 @@ fn num_after(s: &str, key: &str) -> Option<f64> {
 /// available parallelism of the machine that produced it. `None` when the
 /// document predates the field. The bench gate compares it against the
 /// runner's own parallelism and warns loudly on a mismatch — the absolute
-/// epochs/sec floor (and the scaling rows' shape) are only meaningful
+/// epochs/sec floor is only meaningful
 /// when baseline and fresh run saw comparable hardware.
 pub fn parse_host_cpus(json: &str) -> Option<usize> {
     json.lines()
@@ -401,22 +367,26 @@ pub fn parse_host_cpus(json: &str) -> Option<usize> {
 }
 
 /// Parses the result rows of a `BENCH_epoch.json` document (the format
-/// [`to_json`] writes: one result object per line). Documents written
-/// before the threads field default those rows to `threads = 1`. Older
-/// documents also carry a `"commit"` field: `"parallel"` rows measured the
-/// only traffic commit that remains and parse as usual, while
-/// `"sequential"` rows measured a commit mode that no longer exists and
-/// are dropped, so they never match a fresh row.
+/// [`to_json`] writes: one result object per line). Older documents carry
+/// fields for modes that no longer exist; rows measuring a removed mode
+/// are dropped, so they never match a fresh row:
+///
+/// * `"threads"`: rows at `threads = 1` measured the single-threaded
+///   engine that remains and parse as usual; rows at any other budget
+///   measured the removed worker pool;
+/// * `"commit"`: `"parallel"` rows measured the only traffic commit that
+///   remains, `"sequential"` rows a removed commit mode.
 pub fn parse_trajectory(json: &str) -> Vec<TrajectoryRow> {
     let mut rows = Vec::new();
     for line in json.lines() {
         let Some(partitions) = num_after(line, "\"partitions\"") else {
             continue;
         };
-        if line.contains("\"commit\": \"sequential\"") {
+        if line.contains("\"commit\": \"sequential\"")
+            || num_after(line, "\"threads\"").is_some_and(|t| t != 1.0)
+        {
             continue;
         }
-        let threads = num_after(line, "\"threads\"").unwrap_or(1.0);
         let workload = match line.find("\"workload\"").map(|i| &line[i..]) {
             Some(rest) if rest.starts_with("\"workload\": \"churn\"") => Workload::Churn,
             Some(rest) if rest.starts_with("\"workload\": \"outage\"") => Workload::Outage,
@@ -436,7 +406,6 @@ pub fn parse_trajectory(json: &str) -> Vec<TrajectoryRow> {
         };
         rows.push(TrajectoryRow {
             partitions: partitions as usize,
-            threads: threads as usize,
             workload,
             indexed_eps,
             brute_eps,
@@ -473,7 +442,7 @@ impl GateReport {
 }
 
 /// Diffs a fresh trajectory against the committed baseline. Rows are
-/// matched **by key** — `(partitions, threads, workload)` — and rows
+/// matched **by key** — `(partitions, workload)` — and rows
 /// without a partner on the other side (a freshly added bench row, or a
 /// retired one) are *skipped with a warning* instead of failing the gate,
 /// so evolving the sweep's row set never requires lock-step baseline
@@ -490,13 +459,8 @@ impl GateReport {
 ///   regressions that slow both pipelines equally, at the cost of
 ///   hardware sensitivity — keep its tolerance generous.
 ///
-/// Rows whose thread budget **oversubscribes the baseline host**
-/// (`threads` above the committed document's `host_cpus`,
-/// when `baseline_host_cpus` is known) are matched but advisory-only:
-/// their floors demote to warnings, because wall clock at such budgets
-/// charts scheduler contention, not the code. A **scaling-slope** guard
-/// additionally compares the M = 200 → M = 2000 throughput decay
-/// (single worker, steady workload) across documents:
+/// A **scaling-slope** guard additionally compares the M = 200 →
+/// M = 2000 throughput decay (steady workload) across documents:
 /// a slope steepening past `ratio_tolerance` fails, catching
 /// superlinear per-partition cost creep that per-row floors — each
 /// gated against its own baseline row — would wave through.
@@ -505,7 +469,6 @@ pub fn gate_trajectory(
     current: &[TrajectoryRow],
     ratio_tolerance: f64,
     abs_tolerance: f64,
-    baseline_host_cpus: Option<usize>,
 ) -> GateReport {
     let mut report = GateReport::default();
     for b in baseline {
@@ -517,7 +480,6 @@ pub fn gate_trajectory(
             continue;
         };
         report.matched += 1;
-        let mut row_violations = Vec::new();
         let b_ratio = if b.brute_eps > 0.0 {
             b.indexed_eps / b.brute_eps
         } else {
@@ -530,7 +492,7 @@ pub fn gate_trajectory(
         };
         let ratio_floor = b_ratio * (1.0 - ratio_tolerance);
         if c_ratio < ratio_floor {
-            row_violations.push(format!(
+            report.violations.push(format!(
                 "{}: speedup {:.2}x fell below {:.2}x \
                  (baseline {:.2}x, tolerance {:.0}%)",
                 b.describe_key(),
@@ -542,7 +504,7 @@ pub fn gate_trajectory(
         }
         let abs_floor = b.indexed_eps * (1.0 - abs_tolerance);
         if c.indexed_eps < abs_floor {
-            row_violations.push(format!(
+            report.violations.push(format!(
                 "{}: indexed {:.2} epochs/sec fell below {:.2} \
                  (baseline {:.2}, tolerance {:.0}%)",
                 b.describe_key(),
@@ -551,19 +513,6 @@ pub fn gate_trajectory(
                 b.indexed_eps,
                 abs_tolerance * 100.0
             ));
-        }
-        match baseline_host_cpus {
-            Some(cpus) if b.threads > cpus => {
-                for v in row_violations {
-                    report.warnings.push(format!(
-                        "{v} — advisory only: the row's {} threads oversubscribe the \
-                         baseline host's {cpus} cpus, so its wall clock charts \
-                         scheduler contention, not the code",
-                        b.threads
-                    ));
-                }
-            }
-            _ => report.violations.append(&mut row_violations),
         }
         // The speculation hit rate is **informational**: a collapse
         // (halved, or gone entirely) warns but never fails — wall-clock
@@ -592,7 +541,7 @@ pub fn gate_trajectory(
     let slope = |rows: &[TrajectoryRow]| -> Option<f64> {
         let eps_at = |m: usize| {
             rows.iter()
-                .find(|r| r.key() == (m, 1, Workload::Steady))
+                .find(|r| r.key() == (m, Workload::Steady))
                 .map(|r| r.indexed_eps)
         };
         let (small, large) = (eps_at(200)?, eps_at(2_000)?);
@@ -643,10 +592,9 @@ pub fn write_json_full(
 /// Prints the human-readable comparison table for a sweep.
 pub fn print_table(results: &[EpochLoopResult]) {
     println!(
-        "{:>6} {:>7} {:>8} {:>8} {:>14} {:>14} {:>12} {:>12} {:>8} {:>8}",
+        "{:>6} {:>7} {:>8} {:>14} {:>14} {:>12} {:>12} {:>8} {:>8}",
         "M",
         "epochs",
-        "threads",
         "workload",
         "indexed ep/s",
         "brute ep/s",
@@ -657,10 +605,9 @@ pub fn print_table(results: &[EpochLoopResult]) {
     );
     for r in results {
         println!(
-            "{:>6} {:>7} {:>8} {:>8} {:>14.2} {:>14.2} {:>12.0} {:>12.0} {:>7.2}x {:>8}",
+            "{:>6} {:>7} {:>8} {:>14.2} {:>14.2} {:>12.0} {:>12.0} {:>7.2}x {:>8}",
             r.partitions,
             r.epochs,
-            r.threads,
             r.workload.label(),
             r.indexed.epochs_per_sec,
             r.brute_force.epochs_per_sec,
@@ -681,7 +628,7 @@ mod tests {
 
     #[test]
     fn timings_are_positive_and_json_is_well_formed() {
-        let r = run_epoch_loop(4, 3, 1);
+        let r = run_epoch_loop(4, 3);
         assert!(r.indexed.seconds > 0.0);
         assert!(r.brute_force.seconds > 0.0);
         assert!(r.indexed.decisions > 0);
@@ -692,7 +639,7 @@ mod tests {
         let json = to_json(&[r]);
         assert!(json.contains("\"bench\": \"epoch_loop\""));
         assert!(json.contains("\"partitions\": 4"));
-        assert!(json.contains("\"threads\": 1"));
+        assert!(!json.contains("\"threads\""));
         assert!(!json.contains("\"commit\""));
         assert!(json.contains("\"host_cpus\""));
         assert!(json.contains("\"speedup\""));
@@ -705,29 +652,11 @@ mod tests {
     #[test]
     fn write_json_roundtrips_to_disk() {
         let path = figures_tmp().join("bench_epoch_test.json");
-        let r = run_epoch_loop(4, 2, 2);
+        let r = run_epoch_loop(4, 2);
         write_json(&path, &[r]).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.contains("epoch_loop"));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn multithreaded_rows_replay_the_same_trajectory() {
-        // The scaling rows must chart wall clock only: decision counts (and
-        // therefore the simulated trajectory) are identical across thread
-        // counts.
-        let t1 = time_pipeline(4, 3, false, 1, Workload::Steady);
-        let t8 = time_pipeline(4, 3, false, 8, Workload::Steady);
-        assert_eq!(t1.decisions, t8.decisions);
-        assert_eq!(t1.spec_hits, t8.spec_hits);
-        assert_eq!(t1.spec_misses, t8.spec_misses);
-        // And so does the outage workload.
-        let o1 = time_pipeline(4, 6, false, 1, Workload::Outage);
-        let o8 = time_pipeline(4, 6, false, 8, Workload::Outage);
-        assert_eq!(o1.decisions, o8.decisions);
-        assert_eq!(o1.spec_hits, o8.spec_hits);
-        assert_eq!(o1.spec_misses, o8.spec_misses);
     }
 
     #[test]
@@ -736,7 +665,6 @@ mod tests {
             EpochLoopResult {
                 partitions: 200,
                 epochs: 12,
-                threads: 1,
                 workload: Workload::Steady,
                 indexed: PipelineTiming {
                     seconds: 0.5,
@@ -758,7 +686,6 @@ mod tests {
             EpochLoopResult {
                 partitions: 200,
                 epochs: 12,
-                threads: 4,
                 workload: Workload::Outage,
                 indexed: PipelineTiming {
                     seconds: 0.25,
@@ -781,11 +708,9 @@ mod tests {
         let parsed = parse_trajectory(&to_json(&rows));
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].partitions, 200);
-        assert_eq!(parsed[0].threads, 1);
         assert_eq!(parsed[0].indexed_eps, 24.0);
         assert_eq!(parsed[0].workload, Workload::Steady);
         assert_eq!(parsed[0].spec_hit_rate, Some(0.75));
-        assert_eq!(parsed[1].threads, 4);
         assert_eq!(parsed[1].workload, Workload::Outage);
         assert_eq!(
             parsed[1].spec_hit_rate, None,
@@ -797,7 +722,7 @@ mod tests {
 
     #[test]
     fn host_cpus_roundtrips_and_legacy_documents_yield_none() {
-        let r = run_epoch_loop(4, 2, 1);
+        let r = run_epoch_loop(4, 2);
         let json = to_json(&[r]);
         let own = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -807,7 +732,7 @@ mod tests {
     }
 
     #[test]
-    fn parser_defaults_legacy_rows_to_one_thread() {
+    fn parser_accepts_legacy_rows_without_mode_fields() {
         let legacy = r#"{
   "results": [
     {"partitions": 16, "epochs": 40, "indexed": {"seconds": 0.003, "epochs_per_sec": 10995.817, "ns_per_decision": 631.6, "decisions": 5760}, "brute_force": {"seconds": 0.026, "epochs_per_sec": 1484.060, "ns_per_decision": 4679.4, "decisions": 5760}, "speedup": 7.41}
@@ -815,7 +740,6 @@ mod tests {
 }"#;
         let rows = parse_trajectory(legacy);
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].threads, 1);
         assert_eq!(rows[0].partitions, 16);
         assert_eq!(
             rows[0].workload,
@@ -840,7 +764,26 @@ mod tests {
 }"#;
         let rows = parse_trajectory(old);
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].key(), (200, 1, Workload::Steady));
+        assert_eq!(rows[0].key(), (200, Workload::Steady));
+        assert_eq!(rows[0].indexed_eps, 120.0);
+    }
+
+    #[test]
+    fn parser_accepts_the_threads_field_and_drops_multithreaded_rows() {
+        // Documents written while the epoch engine had a worker pool carry
+        // a `"threads"` field. Rows at one thread measured the engine that
+        // remains; rows at any other budget measured the removed pool and
+        // are dropped, so they never match a fresh row.
+        let old = r#"{
+  "results": [
+    {"partitions": 200, "epochs": 12, "threads": 1, "workload": "steady", "indexed": {"seconds": 0.1, "epochs_per_sec": 120.0, "ns_per_decision": 700.0, "decisions": 100}, "brute_force": {"seconds": 0.5, "epochs_per_sec": 24.0, "ns_per_decision": 5000.0, "decisions": 100}, "speedup": 5.00},
+    {"partitions": 200, "epochs": 12, "threads": 2, "workload": "steady", "indexed": {"seconds": 0.2, "epochs_per_sec": 60.0, "ns_per_decision": 1400.0, "decisions": 100}, "brute_force": {"seconds": 0.6, "epochs_per_sec": 20.0, "ns_per_decision": 6000.0, "decisions": 100}, "speedup": 3.00},
+    {"partitions": 16, "epochs": 40, "threads": 8, "workload": "steady", "indexed": {"seconds": 0.2, "epochs_per_sec": 60.0, "ns_per_decision": 1400.0, "decisions": 100}, "brute_force": {"seconds": 0.6, "epochs_per_sec": 20.0, "ns_per_decision": 6000.0, "decisions": 100}, "speedup": 3.00}
+  ]
+}"#;
+        let rows = parse_trajectory(old);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].key(), (200, Workload::Steady));
         assert_eq!(rows[0].indexed_eps, 120.0);
     }
 
@@ -849,7 +792,6 @@ mod tests {
         // Baseline: 100 eps indexed over 20 eps brute = 5x speedup.
         let base = [TrajectoryRow {
             partitions: 200,
-            threads: 1,
             workload: Workload::Steady,
             indexed_eps: 100.0,
             brute_eps: 20.0,
@@ -862,7 +804,7 @@ mod tests {
             brute_eps: 60.0,
             ..base[0]
         }];
-        assert!(gate_trajectory(&base, &fast_host, 0.3, 0.5, None).passed());
+        assert!(gate_trajectory(&base, &fast_host, 0.3, 0.5).passed());
         // A uniformly slower machine (both pipelines halved): ratio holds,
         // the generous absolute backstop still clears.
         let slow_host = [TrajectoryRow {
@@ -870,7 +812,7 @@ mod tests {
             brute_eps: 11.0,
             ..base[0]
         }];
-        assert!(gate_trajectory(&base, &slow_host, 0.3, 0.5, None).passed());
+        assert!(gate_trajectory(&base, &slow_host, 0.3, 0.5).passed());
         // A real code regression on a 2x-faster machine: the index path
         // lost its edge (speedup 5x → 2.5x) while absolute numbers grew.
         // The absolute floor would wave it through; the ratio floor fails.
@@ -879,7 +821,7 @@ mod tests {
             brute_eps: 44.0,
             ..base[0]
         }];
-        let report = gate_trajectory(&base, &regressed, 0.3, 0.5, None);
+        let report = gate_trajectory(&base, &regressed, 0.3, 0.5);
         assert_eq!(report.violations.len(), 1);
         assert!(report.violations[0].contains("speedup"));
         // A same-machine across-the-board slowdown: ratio holds, the
@@ -889,7 +831,7 @@ mod tests {
             brute_eps: 8.0,
             ..base[0]
         }];
-        let report = gate_trajectory(&base, &uniform_slow, 0.3, 0.5, None);
+        let report = gate_trajectory(&base, &uniform_slow, 0.3, 0.5);
         assert_eq!(report.violations.len(), 1);
         assert!(report.violations[0].contains("epochs/sec"));
     }
@@ -898,7 +840,6 @@ mod tests {
     fn hit_rate_collapse_warns_but_never_fails() {
         let base = [TrajectoryRow {
             partitions: 200,
-            threads: 1,
             workload: Workload::Churn,
             indexed_eps: 100.0,
             brute_eps: 20.0,
@@ -910,7 +851,7 @@ mod tests {
             spec_hit_rate: Some(0.1),
             ..base[0]
         }];
-        let report = gate_trajectory(&base, &collapsed, 0.3, 0.5, None);
+        let report = gate_trajectory(&base, &collapsed, 0.3, 0.5);
         assert!(report.passed());
         assert_eq!(report.warnings.len(), 1, "{:?}", report.warnings);
         assert!(report.warnings[0].contains("hit rate"));
@@ -920,14 +861,14 @@ mod tests {
             spec_hit_rate: Some(0.7),
             ..base[0]
         }];
-        assert!(gate_trajectory(&base, &healthy, 0.3, 0.5, None)
+        assert!(gate_trajectory(&base, &healthy, 0.3, 0.5)
             .warnings
             .is_empty());
         let absent = [TrajectoryRow {
             spec_hit_rate: None,
             ..base[0]
         }];
-        assert!(gate_trajectory(&base, &absent, 0.3, 0.5, None)
+        assert!(gate_trajectory(&base, &absent, 0.3, 0.5)
             .warnings
             .is_empty());
     }
@@ -936,7 +877,6 @@ mod tests {
     fn gate_skips_unmatched_rows_with_warnings() {
         let base_row = TrajectoryRow {
             partitions: 200,
-            threads: 1,
             workload: Workload::Steady,
             indexed_eps: 100.0,
             brute_eps: 20.0,
@@ -946,18 +886,18 @@ mod tests {
         // that is a failure in its own right (an emptied or renamed fresh
         // trajectory must not wave CI through), reported alongside the
         // skip warning.
-        let report = gate_trajectory(&[base_row], &[], 0.3, 0.5, None);
+        let report = gate_trajectory(&[base_row], &[], 0.3, 0.5);
         assert!(!report.passed());
         assert_eq!(report.matched, 0);
         assert_eq!(report.warnings.len(), 1);
         assert!(report.warnings[0].contains("skipped"));
-        // Rows differing only in thread budget or workload do not match:
+        // Rows differing only in partitions or workload do not match:
         // each side's stragglers warn, nothing fails, and the matched row
         // is still gated.
         let fresh = [
             base_row,
             TrajectoryRow {
-                threads: 8,
+                partitions: 50,
                 ..base_row
             },
             TrajectoryRow {
@@ -972,7 +912,7 @@ mod tests {
                 ..base_row
             },
         ];
-        let report = gate_trajectory(&baseline, &fresh, 0.3, 0.5, None);
+        let report = gate_trajectory(&baseline, &fresh, 0.3, 0.5);
         assert!(report.passed());
         assert_eq!(report.matched, 1);
         assert_eq!(report.warnings.len(), 3, "{:?}", report.warnings);
@@ -985,72 +925,18 @@ mod tests {
                 ..base_row
             },
             TrajectoryRow {
-                threads: 8,
+                partitions: 50,
                 ..base_row
             },
         ];
-        let report = gate_trajectory(&baseline, &regressed, 0.3, 0.5, None);
+        let report = gate_trajectory(&baseline, &regressed, 0.3, 0.5);
         assert!(!report.passed());
-    }
-
-    #[test]
-    fn oversubscribed_thread_rows_demote_to_warnings() {
-        // A regression on a row whose thread budget exceeds the baseline
-        // host's cores is advisory: on such a host the row's wall clock
-        // charts scheduler contention, not the code.
-        let base = [
-            TrajectoryRow {
-                partitions: 200,
-                threads: 1,
-                workload: Workload::Steady,
-                indexed_eps: 100.0,
-                brute_eps: 20.0,
-                spec_hit_rate: None,
-            },
-            TrajectoryRow {
-                partitions: 200,
-                threads: 8,
-                workload: Workload::Steady,
-                indexed_eps: 100.0,
-                brute_eps: 20.0,
-                spec_hit_rate: None,
-            },
-        ];
-        let fresh = [
-            base[0],
-            TrajectoryRow {
-                indexed_eps: 10.0,
-                brute_eps: 10.0,
-                ..base[1]
-            },
-        ];
-        // Baseline host had 1 cpu: the threads = 8 row's regression warns
-        // instead of failing, and both rows still count as matched.
-        let report = gate_trajectory(&base, &fresh, 0.3, 0.5, Some(1));
-        assert!(report.passed(), "{:?}", report.violations);
-        assert_eq!(report.matched, 2);
-        assert!(report.warnings.iter().any(|w| w.contains("oversubscribe")));
-        // The same diff on an 8-cpu baseline host is a hard failure.
-        let report = gate_trajectory(&base, &fresh, 0.3, 0.5, Some(8));
-        assert!(!report.passed());
-        // And so is a regression on a row *within* the host's budget,
-        // even when the host count is known.
-        let regressed_t1 = [
-            TrajectoryRow {
-                indexed_eps: 10.0,
-                brute_eps: 10.0,
-                ..base[0]
-            },
-            base[1],
-        ];
-        assert!(!gate_trajectory(&base, &regressed_t1, 0.3, 0.5, Some(1)).passed());
     }
 
     #[test]
     fn scaling_slope_guard_gates_m2000_decay() {
         let row = |partitions: usize, indexed_eps: f64| TrajectoryRow {
             partitions,
-            threads: 1,
             workload: Workload::Steady,
             indexed_eps,
             brute_eps: indexed_eps / 5.0,
@@ -1060,13 +946,13 @@ mod tests {
         let base = [row(200, 100.0), row(2_000, 10.0)];
         // Uniformly slower host: slope unchanged, passes.
         let slower = [row(200, 50.0), row(2_000, 5.0)];
-        assert!(gate_trajectory(&base, &slower, 0.3, 0.5, None).passed());
+        assert!(gate_trajectory(&base, &slower, 0.3, 0.5).passed());
         // Superlinear creep: M = 2000 fell to a 20x decay — the slope
         // guard fails even though the M = 200 row held and the M = 2000
         // row's own floors (vs its baseline row, tolerance 60%) do not
         // quite trip.
         let creep = [row(200, 100.0), row(2_000, 5.0)];
-        let report = gate_trajectory(&base, &creep, 0.3, 0.6, None);
+        let report = gate_trajectory(&base, &creep, 0.3, 0.6);
         assert!(!report.passed());
         assert!(report
             .violations
@@ -1075,14 +961,14 @@ mod tests {
         // A baseline without the M = 2000 row skips the slope with a
         // warning instead of failing.
         let old_base = [row(200, 100.0)];
-        let report = gate_trajectory(&old_base, &creep, 0.3, 0.6, None);
+        let report = gate_trajectory(&old_base, &creep, 0.3, 0.6);
         assert!(report.passed());
         assert!(report.warnings.iter().any(|w| w.contains("scaling slope")));
     }
 
     #[test]
     fn memory_figure_lands_in_json() {
-        let r = run_epoch_loop(4, 3, 1);
+        let r = run_epoch_loop(4, 3);
         let json = to_json_full(&[r], Some(123_456));
         assert!(json.contains("\"bytes_per_partition\": 123456"));
         assert_eq!(parse_bytes_per_partition(&json), Some(123_456));

@@ -66,16 +66,10 @@ pub struct SkuteConfig {
     /// untouched. Scrub rebuilds are observability-only, so enabling the
     /// cadence cannot perturb the decision trajectory.
     pub scrub_every: u64,
-    /// Worker threads of the epoch pipeline's parallel phases (`0` = the
-    /// machine's available parallelism; explicit budgets are honored
-    /// exactly — beyond the host's core count that costs wall clock,
-    /// never correctness). Only the plan passes fan out: the traffic
-    /// delivery plan, the availability warm-up, the decision prepass and
-    /// the report. The traffic commit, the repair walk and the decision
-    /// commit run sequentially at every thread count. Same-seed
-    /// trajectories are therefore **bitwise identical at every thread
-    /// count**: plan passes only precompute order-independent
-    /// per-partition work (see `crate::pipeline`).
+    /// Compatibility shim with exactly one legal value, `1`: the epoch
+    /// engine is single-threaded. The field survives only so existing
+    /// callers that pin `threads = 1` keep compiling;
+    /// [`SkuteConfig::validate`] panics on any other value.
     pub threads: usize,
 }
 
@@ -115,9 +109,8 @@ impl SkuteConfig {
         self
     }
 
-    /// Returns a copy running the epoch pipeline's parallel phases on
-    /// `threads` workers (`0` = available parallelism). The trajectory
-    /// stays bitwise identical; only wall-clock changes.
+    /// Returns a copy with `threads` set (compatibility shim: `1` is the
+    /// only value [`SkuteConfig::validate`] accepts; see the field docs).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -183,6 +176,10 @@ impl SkuteConfig {
             self.max_repairs_per_partition_per_epoch >= 1,
             "at least one repair per epoch must be allowed"
         );
+        assert!(
+            self.threads == 1,
+            "threads must be 1: the epoch engine is single-threaded"
+        );
     }
 }
 
@@ -210,14 +207,15 @@ mod tests {
     }
 
     #[test]
-    fn with_threads_changes_only_the_worker_budget() {
-        let a = SkuteConfig::paper();
-        let b = a.with_threads(8);
-        assert_eq!(a.threads, 1);
-        assert_eq!(b.threads, 8);
-        assert_eq!(a.seed, b.seed);
-        b.validate();
-        a.with_threads(0).validate();
+    #[should_panic(expected = "threads must be 1")]
+    fn two_threads_rejected() {
+        SkuteConfig::paper().with_threads(2).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "threads must be 1")]
+    fn zero_threads_rejected() {
+        SkuteConfig::paper().with_threads(0).validate();
     }
 
     #[test]

@@ -70,7 +70,6 @@ pub use decision::{Action, ActionCounts};
 pub use error::CoreError;
 pub use metrics::{AntiEntropyReport, EpochReport, RingReport, ScrubReport};
 pub use obs::CloudMetrics;
-pub use pipeline::EpochPipeline;
 pub use placement::{PlacementContext, PlacementIndex, PlacementStrategy, WalkScratch};
 pub use skute_store::{FaultPlan, FaultPlanKind, GrayMode};
 pub use vnode::{DeliveryPlan, PartitionState, Replica, VnodeId};

@@ -221,8 +221,8 @@ pub struct PlacementIndex {
 }
 
 /// Reusable scratch buffers of one best-first index walk. The read-only
-/// snapshot path takes them from the caller so concurrent workers can walk
-/// one shared index with per-worker scratch.
+/// snapshot path takes them from the caller, so the decision plan pass
+/// can walk a shared index while holding its own scratch.
 ///
 /// Besides the walk buffers, the scratch records the walk's **read set**:
 /// the ids of every candidate entry whose snapshot fields the last query
@@ -486,8 +486,8 @@ impl PlacementIndex {
     }
 
     /// The read-only variant of [`PlacementIndex::economic_target`] for
-    /// concurrent snapshot queries: the caller owns the walk scratch (one
-    /// per worker), the index is only read, and the snapshot must already
+    /// snapshot queries: the caller owns the walk scratch, the index is
+    /// only read, and the snapshot must already
     /// be current — [`PlacementIndex::refresh`] at the phase barrier, no
     /// cluster/board mutation since. Bit-identical to the owned path.
     ///

@@ -68,9 +68,9 @@ impl Replica {
     }
 }
 
-/// Per-partition scratch of the traffic-delivery phase: the parallel plan
+/// Per-partition scratch of the traffic-delivery phase: the plan
 /// pass fills it (proximity weights, client distances, serving order),
-/// and the sequential commit consumes it against the live capacity
+/// and the commit pass consumes it against the live capacity
 /// meters. Reused across epochs; meaningless unless
 /// [`DeliveryPlan::ready`].
 #[derive(Debug, Clone, Default)]
@@ -116,7 +116,7 @@ pub struct PartitionState {
     /// within an epoch.
     pub prox_cache: ProximityCache,
     /// Bumped on every replica-membership change (add, remove, or host
-    /// change). The epoch pipeline's parallel pre-passes snapshot it to
+    /// change). The epoch pipeline's plan passes snapshot it to
     /// detect, at commit time, whether their per-vnode precomputation is
     /// still exact or must be redone against the mutated partition.
     pub membership_version: u64,

@@ -17,8 +17,9 @@
 //!    here is `std`. Exposition is hand-rendered text.
 //! 3. **Cheap to hold, cheap to hammer.** Handles are `Clone` (`Arc`
 //!    bumps) and safe to update from any thread, including
-//!    `skute-exec` worker-pool tasks — a property the crate's concurrency
-//!    test pins down by hammering one counter from every worker.
+//!    `skute-server`'s connection threads — a property the crate's
+//!    concurrency test pins down by hammering one counter from many
+//!    threads.
 //!
 //! ## Exposition
 //!

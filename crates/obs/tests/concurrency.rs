@@ -1,39 +1,46 @@
-//! Metric handles must survive being hammered from `skute-exec` worker
-//! pool tasks without losing increments — the exact setting the core
-//! pipeline uses them in.
+//! Metric handles must survive being hammered from many threads without
+//! losing increments — the setting `skute-server`'s connection threads
+//! use them in.
 
-use skute_exec::WorkerPool;
 use skute_obs::{Histogram, Registry};
 
+/// Threads each test spreads its tasks over.
+const THREADS: usize = 8;
+
+/// Runs `task(i)` for every `i < tasks` on [`THREADS`] scoped threads,
+/// task `i` on thread `i % THREADS`.
+fn run_tasks(tasks: usize, task: impl Fn(usize) + Sync) {
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let task = &task;
+            s.spawn(move || (t..tasks).step_by(THREADS).for_each(task));
+        }
+    });
+}
+
 #[test]
-fn counter_loses_no_increments_under_worker_pool() {
+fn counter_loses_no_increments_across_threads() {
     let registry = Registry::new();
-    let counter = registry.counter("skute_hammer_total", "Hammered from the pool.");
-    let pool = WorkerPool::new(8);
+    let counter = registry.counter("skute_hammer_total", "Hammered from many threads.");
     const TASKS: usize = 64;
     const PER_TASK: u64 = 10_000;
-    let tasks: Vec<usize> = (0..TASKS).collect();
-    let handle = counter.clone();
-    let _ = pool.run_tasks(tasks, move |_, _| {
+    run_tasks(TASKS, |_| {
         for _ in 0..PER_TASK {
-            handle.inc();
+            counter.inc();
         }
     });
     assert_eq!(counter.get(), TASKS as u64 * PER_TASK);
 }
 
 #[test]
-fn histogram_loses_no_observations_under_worker_pool() {
+fn histogram_loses_no_observations_across_threads() {
     let hist = Histogram::new(&[0.5, 1.5, 2.5, 3.5]);
-    let pool = WorkerPool::new(8);
     const TASKS: usize = 32;
     const PER_TASK: usize = 4_000;
-    let tasks: Vec<usize> = (0..TASKS).collect();
-    let handle = hist.clone();
-    let _ = pool.run_tasks(tasks, move |_, i| {
+    run_tasks(TASKS, |i| {
         // Each task writes a known mix: observation value cycles 0..4.
         for k in 0..PER_TASK {
-            handle.observe(((i + k) % 4) as f64);
+            hist.observe(((i + k) % 4) as f64);
         }
     });
     let total = (TASKS * PER_TASK) as u64;
@@ -53,21 +60,18 @@ fn histogram_loses_no_observations_under_worker_pool() {
 
 #[test]
 fn concurrent_registration_is_idempotent() {
-    let registry = std::sync::Arc::new(Registry::new());
-    let pool = WorkerPool::new(4);
-    let tasks: Vec<usize> = (0..16).collect();
-    let reg = registry.clone();
-    let _ = pool.run_tasks(tasks, move |_, _| {
-        let c = reg.counter_with(
+    let registry = Registry::new();
+    run_tasks(16, |_| {
+        let c = registry.counter_with(
             "skute_reg_total",
-            "Registered from many tasks.",
+            "Registered from many threads.",
             &[("op", "x")],
         );
         c.inc();
     });
     let c = registry.counter_with(
         "skute_reg_total",
-        "Registered from many tasks.",
+        "Registered from many threads.",
         &[("op", "x")],
     );
     assert_eq!(c.get(), 16);

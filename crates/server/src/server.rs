@@ -34,7 +34,8 @@ pub struct ServerConfig {
     pub partitions: usize,
     /// Seed for the cloud's decision process.
     pub seed: u64,
-    /// Worker threads for the epoch pipeline (1 = sequential).
+    /// Compatibility shim with exactly one legal value, `1`: the epoch
+    /// engine is single-threaded (see `SkuteConfig::threads`).
     pub threads: usize,
     /// Storage backend for the replicas.
     pub backend: BackendKind,

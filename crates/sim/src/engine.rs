@@ -129,8 +129,7 @@ impl Simulation {
         for event in self.scenario.schedule.events_at(epoch).to_vec() {
             self.apply_event(event);
         }
-        // Queries: every application's traffic in one batched call, so the
-        // per-ring delivery plan passes share a single pool dispatch.
+        // Queries: every application's traffic in one batched call.
         let traffic = self.query_gen.epoch(&mut self.rng, epoch);
         let offered_rate: f64 = traffic.iter().map(|t| t.queries).sum();
         let batches: Vec<TrafficBatch> = traffic

@@ -199,18 +199,20 @@ mod tests {
 
     #[test]
     fn concurrent_writers_converge() {
-        // Eight writers race on one key through the persistent worker pool
-        // (one single-writer task each), all mutating the same shared
-        // store handle concurrently through cloned handles.
+        // Eight writer threads race on one key, all mutating the same
+        // shared store concurrently through cloned handles.
         let store = SharedPartitionStore::new();
-        let pool = skute_exec::WorkerPool::new(8);
-        let handle = store.clone();
-        pool.run_tasks((0..8u32).collect(), move |_, writer| {
-            for seq in 0..100u64 {
-                handle.apply(
-                    &b"contended"[..],
-                    Record::put(vec![writer as u8], Version::new(1, seq, writer)),
-                );
+        std::thread::scope(|s| {
+            for writer in 0..8u32 {
+                let handle = store.clone();
+                s.spawn(move || {
+                    for seq in 0..100u64 {
+                        handle.apply(
+                            &b"contended"[..],
+                            Record::put(vec![writer as u8], Version::new(1, seq, writer)),
+                        );
+                    }
+                });
             }
         });
         // LWW winner is the highest (epoch, seq, writer) = (1, 99, 7).

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! skute-server [--addr HOST:PORT] [--replicas N] [--partitions N]
-//!              [--seed N] [--threads N] [--backend mem|lsm]
+//!              [--seed N] [--backend mem|lsm]
 //!              [--epoch-ms N] [--warmup-epochs N] [--queries-per-request F]
 //!              [--read-timeout-ms N] [--write-timeout-ms N]
 //! ```
@@ -40,11 +40,6 @@ fn parse_args() -> Result<ServerConfig, String> {
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?
             }
-            "--threads" | "-t" => {
-                config.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
             "--backend" | "-b" => {
                 config.backend = value("--backend")?
                     .parse::<BackendKind>()
@@ -79,9 +74,9 @@ fn parse_args() -> Result<ServerConfig, String> {
                 println!(
                     "skute-server: serve a live Skute cloud over HTTP\n\n\
                      USAGE: skute-server [--addr HOST:PORT] [--replicas N]\n\
-                            [--partitions N] [--seed N] [--threads N]\n\
-                            [--backend mem|lsm] [--epoch-ms N]\n\
-                            [--warmup-epochs N] [--queries-per-request F]\n\
+                            [--partitions N] [--seed N] [--backend mem|lsm]\n\
+                            [--epoch-ms N] [--warmup-epochs N]\n\
+                            [--queries-per-request F]\n\
                             [--read-timeout-ms N] [--write-timeout-ms N]\n\n\
                      Routes: GET /healthz, GET /metrics, GET|PUT|DELETE /kv/<key>,\n\
                      GET /scan?prefix=&limit=, POST /fault, POST /shutdown.\n\

@@ -3,7 +3,7 @@
 //! ```text
 //! skute-sim [--scenario base|fig2|fig3|fig4|fig5|outage] [--epochs N]
 //!           [--seed N] [--csv PATH] [--print-every N] [--brute-force]
-//!           [--threads N] [--no-speculation] [--backend mem|lsm]
+//!           [--no-speculation] [--backend mem|lsm]
 //!           [--fault-plan NAME] [--fault-seed N] [--scrub-every N]
 //!           [--metrics-json PATH]
 //! skute-sim --bench-json PATH
@@ -35,7 +35,6 @@ struct Args {
     print_every: u64,
     brute_force: bool,
     no_speculation: bool,
-    threads: Option<usize>,
     backend: BackendKind,
     fault_plan: Option<FaultPlanKind>,
     fault_seed: Option<u64>,
@@ -53,7 +52,6 @@ fn parse_args() -> Result<Args, String> {
         print_every: 10,
         brute_force: false,
         no_speculation: false,
-        threads: None,
         backend: BackendKind::default(),
         fault_plan: None,
         fault_seed: None,
@@ -88,13 +86,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--brute-force" => args.brute_force = true,
             "--no-speculation" => args.no_speculation = true,
-            "--threads" | "-t" => {
-                args.threads = Some(
-                    value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
             "--backend" | "-b" => {
                 args.backend = value("--backend")?
                     .parse()
@@ -128,12 +119,10 @@ fn parse_args() -> Result<Args, String> {
                     "skute-sim: run a Skute paper scenario\n\n\
                      USAGE: skute-sim [--scenario base|fig2|fig3|fig4|fig5|outage]\n\
                             [--epochs N] [--seed N] [--csv PATH] [--print-every N]\n\
-                            [--brute-force] [--no-speculation] [--threads N]\n\
+                            [--brute-force] [--no-speculation]\n\
                             [--backend mem|lsm] [--fault-plan NAME] [--fault-seed N]\n\
                             [--scrub-every N] [--metrics-json PATH]\n\
                             [--bench-json PATH]\n\n\
-                     --threads sets the epoch pipeline's worker budget (0 = all\n\
-                     cores); same-seed output is bitwise identical at any value.\n\
                      --backend selects the replica storage engine: mem (default,\n\
                      in-memory oracle) or lsm (durable WAL + SSTable stores);\n\
                      same-seed output is bitwise identical on either engine.\n\
@@ -152,8 +141,8 @@ fn parse_args() -> Result<Args, String> {
                      bitwise identical, faulted or not. Gray and partition\n\
                      plans price degraded servers down through the confidence\n\
                      EWMA, so they change the trajectory relative to a clean\n\
-                     run — but stay bitwise identical across --threads and\n\
-                     --backend for a given seed.\n\
+                     run — but stay bitwise identical across --backend for a\n\
+                     given seed.\n\
                      --scrub-every N folds the quarantine scrub into the epoch\n\
                      loop every N epochs (0 = disabled, the default); scrubs\n\
                      are observability-only and never perturb the trajectory.\n\
@@ -245,9 +234,6 @@ fn main() -> ExitCode {
             kind,
             seed: args.fault_seed.unwrap_or(scenario.seed),
         };
-    }
-    if let Some(threads) = args.threads {
-        scenario.config.threads = threads;
     }
     if let Some(every) = args.scrub_every {
         scenario.config.scrub_every = every;

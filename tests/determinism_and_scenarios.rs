@@ -72,58 +72,30 @@ fn identical_seeds_are_bitwise_identical_at_paper_scale() {
 }
 
 #[test]
-fn thread_counts_replay_bitwise_identically() {
-    // The parallel epoch pipeline's acceptance bar: threads = 1 runs every
-    // phase inline (the sequential path); larger budgets fan the plan
-    // passes out across workers. Every field of every per-epoch
-    // Observation — floats included — must be bitwise identical, through
-    // traffic, repairs, economic decisions and a failure burst. The second
-    // input is a denser burst (12 servers at epoch 9, 24 partitions per
-    // app): its post-burst epochs overlap many suicides, migrations and
-    // repairs on shared servers and partitions.
+fn failure_bursts_replay_bitwise_identically() {
+    // Every field of every per-epoch Observation — floats included — must
+    // be bitwise identical across two same-seed runs, through traffic,
+    // repairs, economic decisions and a failure burst. The second input
+    // is a denser burst (12 servers at epoch 9, 24 partitions per app):
+    // its post-burst epochs overlap many suicides, migrations and repairs
+    // on shared servers and partitions.
     // (name, partitions, queries, epochs, seed, burst epoch, servers removed)
     let inputs = [
-        ("threads-det", 16, 2_500, 14, 0x7EAD, 7, 8),
-        ("threads-det-burst", 24, 3_000, 16, 0xBA7C, 9, 12),
+        ("burst-det", 16, 2_500, 14, 0x7EAD, 7, 8),
+        ("burst-det-dense", 24, 3_000, 16, 0xBA7C, 9, 12),
     ];
     for (name, partitions, queries, epochs, seed, burst, count) in inputs {
-        let run = |threads: usize| {
+        let run = || {
             let mut s = paper::scaled_scenario(name, partitions, queries, epochs);
             s.seed = seed;
-            s.config.threads = threads;
             s.schedule = Schedule::new().at(burst, CloudEvent::RemoveServers { count });
             Simulation::new(s).run()
         };
-        let sequential = run(1);
-        for threads in [2usize, 8] {
-            let parallel = run(threads);
-            assert_eq!(sequential.len(), parallel.len());
-            for (epoch, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
-                assert_eq!(
-                    a, b,
-                    "{name}: threads = {threads} diverges at epoch {epoch}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn thread_counts_replay_bitwise_identically_at_paper_scale() {
-    // Same bar at the paper's M = 200 (600 partitions across three rings):
-    // the chunked plan passes, sharded report accounting and speculative
-    // placement must leave no trace in the trajectory.
-    let run = |threads: usize| {
-        let mut s = paper::scaled_scenario("threads-det-200", 200, 3_000, 6);
-        s.seed = 0xD200;
-        s.config.threads = threads;
-        Simulation::new(s).run()
-    };
-    let sequential = run(1);
-    for threads in [2usize, 8] {
-        let parallel = run(threads);
-        for (epoch, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
-            assert_eq!(a, b, "threads = {threads} diverges at epoch {epoch}");
+        let first = run();
+        let second = run();
+        assert_eq!(first.len(), second.len());
+        for (epoch, (a, b)) in first.iter().zip(&second).enumerate() {
+            assert_eq!(a, b, "{name}: diverges at epoch {epoch}");
         }
     }
 }
@@ -164,39 +136,33 @@ fn speculation_oracle_replays_bitwise_identically() {
     // entirely (`SkuteConfig::no_speculation` — every acting vnode
     // re-walks the live state at commit) must replay the speculative
     // pipeline's trajectory **bitwise**, across a convergence phase, a
-    // failure burst and steady state, at several thread counts. The only
-    // permitted difference is the hit/miss observability counters
-    // themselves (the oracle never evaluates a speculation).
-    let run = |no_spec: bool, threads: usize| {
+    // failure burst and steady state. The only permitted difference is
+    // the hit/miss observability counters themselves (the oracle never
+    // evaluates a speculation).
+    let run = |no_spec: bool| {
         let mut s = paper::scaled_scenario("spec-oracle", 24, 3_000, 16);
         s.seed = 0x57EC;
         s.config.no_speculation = no_spec;
-        s.config.threads = threads;
         s.schedule = Schedule::new().at(9, CloudEvent::RemoveServers { count: 12 });
         Simulation::new(s).run()
     };
-    let spec = run(false, 1);
+    let spec = run(false);
+    let oracle = run(true);
     let mut honored = 0u64;
     let mut re_walked = 0u64;
-    for threads in [1usize, 2, 8] {
-        let oracle = run(true, threads);
-        assert_eq!(spec.len(), oracle.len());
-        for (epoch, (a, b)) in spec.iter().zip(&oracle).enumerate() {
-            let mut a = a.clone();
-            honored += a.report.actions.spec_hits;
-            re_walked += a.report.actions.spec_misses;
-            a.report.actions.spec_hits = 0;
-            a.report.actions.spec_misses = 0;
-            assert_eq!(
-                b.report.actions.spec_hits, 0,
-                "the oracle evaluates no speculation"
-            );
-            assert_eq!(b.report.actions.spec_misses, 0);
-            assert_eq!(
-                &a, b,
-                "speculation on/off diverges at epoch {epoch}, threads {threads}"
-            );
-        }
+    assert_eq!(spec.len(), oracle.len());
+    for (epoch, (a, b)) in spec.iter().zip(&oracle).enumerate() {
+        let mut a = a.clone();
+        honored += a.report.actions.spec_hits;
+        re_walked += a.report.actions.spec_misses;
+        a.report.actions.spec_hits = 0;
+        a.report.actions.spec_misses = 0;
+        assert_eq!(
+            b.report.actions.spec_hits, 0,
+            "the oracle evaluates no speculation"
+        );
+        assert_eq!(b.report.actions.spec_misses, 0);
+        assert_eq!(&a, b, "speculation on/off diverges at epoch {epoch}");
     }
     assert!(
         honored > 0,
@@ -378,25 +344,19 @@ fn golden_trajectory_digest_is_pinned() {
     // executes all four action kinds. If a change alters the trajectory on
     // purpose, re-pin the digest and say why in the commit.
     const PINNED: u64 = 0xbb5a_0fbe_a0a8_ea87;
-    let run = |threads: usize| {
-        let mut s = paper::scaled_scenario("golden", 32, 100_000, 24);
-        s.seed = 0x601D;
-        s.config.threads = threads;
-        let (continent, country) = s
-            .topology
-            .iter_countries()
-            .next()
-            .expect("the paper topology has countries");
-        s.schedule = Schedule::new()
-            .at(10, CloudEvent::CountryOutage { continent, country })
-            .at(16, CloudEvent::RemoveServers { count: 12 });
-        trajectory_digest(&Simulation::new(s).run())
-    };
-    for threads in [1usize, 2] {
-        let got = run(threads);
-        assert_eq!(
-            got, PINNED,
-            "trajectory digest {got:#018x} at threads = {threads} differs from the pinned {PINNED:#018x}"
-        );
-    }
+    let mut s = paper::scaled_scenario("golden", 32, 100_000, 24);
+    s.seed = 0x601D;
+    let (continent, country) = s
+        .topology
+        .iter_countries()
+        .next()
+        .expect("the paper topology has countries");
+    s.schedule = Schedule::new()
+        .at(10, CloudEvent::CountryOutage { continent, country })
+        .at(16, CloudEvent::RemoveServers { count: 12 });
+    let got = trajectory_digest(&Simulation::new(s).run());
+    assert_eq!(
+        got, PINNED,
+        "trajectory digest {got:#018x} differs from the pinned {PINNED:#018x}"
+    );
 }

