@@ -101,6 +101,24 @@ fn failure_bursts_replay_bitwise_identically() {
 }
 
 #[test]
+fn paper_scale_replays_bitwise_identically() {
+    // Same bar at the paper's M = 200 (600 partitions across three rings):
+    // the plan passes, report accounting and speculative placement must
+    // replay every float of every Observation across two same-seed runs.
+    let run = || {
+        let mut s = paper::scaled_scenario("replay-200", 200, 3_000, 6);
+        s.seed = 0xD200;
+        Simulation::new(s).run()
+    };
+    let first = run();
+    let second = run();
+    assert_eq!(first.len(), second.len());
+    for (epoch, (a, b)) in first.iter().zip(&second).enumerate() {
+        assert_eq!(a, b, "diverges at epoch {epoch}");
+    }
+}
+
+#[test]
 fn indexed_and_brute_force_placement_produce_identical_trajectories() {
     // End-to-end equivalence oracle: routing every eq.-(3) decision through
     // the brute-force full-cluster scan must reproduce the indexed
